@@ -7,15 +7,17 @@
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. shards — the sharded-phase determinism gate (bit-identity at shard
 #               widths 1/2/4/8 against a serial run);
-#   5. vet    — the standard toolchain's analyzers;
-#   6. race   — the short test set under the race detector, which enforces
+#   5. perfbench-test — the benchmark's own fidelity tests (traced ==
+#               untraced digests: the gate that the route memo stays pure);
+#   6. vet    — the standard toolchain's analyzers;
+#   7. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
 
 GO ?= go
 
-.PHONY: build test check lint bench bench-sweep quick chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint bench bench-sweep quick chaos shards perfbench-test mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -23,7 +25,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint chaos shards load-smoke adapt-smoke
+check: build lint chaos shards perfbench-test load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -53,6 +55,15 @@ chaos:
 # PQ_SHARDS_STRESS.
 shards:
 	$(GO) test -run 'TestShards' -count=1 ./internal/experiment
+
+# perfbench-test runs the repository benchmark's own tests (_perfbench is a
+# separate module, so the root `go test ./...` does not see it) on their
+# short sizes, about 10 s: every workload reproduces the experiment
+# harness, and a traced run — which does not prefetch routes — gives the
+# same digest as an untraced one, so a route memo that changed an answer
+# would fail here.
+perfbench-test:
+	cd _perfbench && $(GO) test -short ./...
 
 # bench runs the full benchmark suite (figure pipelines, substrate
 # micro-benchmarks, ablations) with allocation reporting and converts the

@@ -21,7 +21,7 @@
 //
 // `pqexp giga` is the 100k-node tier (DESIGN.md §15): the mega scenario with
 // oracle neighbor discovery, draw-on-demand membership views, and the
-// sharded route-tree cache (-shards controls the build parallelism, with
+// oracle router's route memo (-shards controls its build parallelism, with
 // bit-identical results at any width). Scale it down with -gigan for smoke
 // runs; like mega, it is not part of "all".
 //
@@ -80,7 +80,6 @@ func run(args []string) error {
 	gigaN := fs.Int("gigan", 100000, "node count for the giga scale scenario")
 	megaShort := fs.Bool("megashort", false, "shrink the mega/giga scenario workloads for smoke tests")
 	megaDense := fs.Bool("megadense", false, "mega/giga: opt out of lazy membership (the A/B baseline for the scale posture)")
-	megaNoCache := fs.Bool("meganocache", false, "mega/giga: opt out of the route-tree cache, restoring per-hop BFS routing (with -megadense, the full pre-cache serial posture)")
 	loadShort := fs.Bool("loadshort", false, "shrink the load figure's node count and duration for smoke tests")
 	adaptShort := fs.Bool("adaptshort", false, "shrink the adapt figure's duration for smoke tests")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
@@ -154,11 +153,11 @@ func run(args []string) error {
 	}
 	for _, f := range figs {
 		if strings.EqualFold(f, "mega") {
-			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "giga") {
-			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "load") {

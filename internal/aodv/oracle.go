@@ -1,8 +1,6 @@
 package aodv
 
 import (
-	"math"
-
 	"probquorum/internal/netstack"
 	"probquorum/internal/sim"
 )
@@ -40,20 +38,9 @@ type Oracle struct {
 	engine *sim.Engine
 	taps   [][]TransitTap
 
-	// BFS scratch, reused across nextHop calls so steady-state routing does
-	// not allocate: visited is a stamp array (visited[i] == stamp means
-	// "seen in the current traversal"), parent/queue/depths are the
-	// traversal state. The traversal order is exactly the previous
-	// allocate-per-call implementation's, so results are bit-identical.
-	visited []int32
-	stamp   int32
-	parent  []int32
-	queue   []int32
-	depths  []int32
-
-	// cache is the opt-in per-destination route-tree cache with sharded
-	// parallel prefetch (routecache.go); nil unless EnableRouteCache ran.
-	cache *routeCache
+	// cache answers every next-hop query from per-destination distance
+	// fields, built on demand or by sharded prefetch (routecache.go).
+	cache *routeMemo
 
 	// DataDrops counts packets dropped because no path existed or a hop
 	// failed.
@@ -80,6 +67,7 @@ func NewOracle(net *netstack.Network) *Oracle {
 		engine: net.Engine(),
 		taps:   make([][]TransitTap, net.N()),
 	}
+	o.cache = newRouteMemo(o, RouteCacheConfig{})
 	h := &oracleHandler{o: o}
 	for id := 0; id < net.N(); id++ {
 		net.Node(id).Register(netstack.ProtoRouted, h)
@@ -194,69 +182,13 @@ func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 }
 
 // nextHop returns the first hop of a shortest path from src to dst within
-// maxTTL hops (0 = unbounded): a forward BFS over the live neighbor graph
-// using reused stamped scratch, visiting nodes in exactly the order the
-// original allocate-per-call implementation did (same queue discipline, same
-// ascending-neighbor expansion), so tie-breaking — and every recorded run —
-// is unchanged while steady-state routing no longer allocates.
-//
-// When the route cache is enabled, every query is answered from the
-// per-destination next-hop trees instead (routecache.go): unbounded queries
-// read next[src] directly, and scoped queries walk the tree — tree paths
-// are shortest paths, so "dst within k hops" is decided in at most k steps.
-// The latter is what keeps per-hop forwarding off the BFS entirely: routed
-// packets carry a finite TTL, so without it every intermediate hop of an
-// "unbounded" send would fall through to a graph-sized traversal.
+// maxTTL hops (0 = unbounded) on the live neighbor graph: among all
+// shortest paths, the one whose first hop has the lowest id. The route
+// memo answers it from per-destination distance fields (routecache.go).
+// A dead source other than dst is unreachable.
 func (o *Oracle) nextHop(src, dst int, maxTTL int) (int, bool) {
 	if src == dst {
 		return src, true
 	}
-	if o.cache != nil {
-		return o.cache.nextHop(src, dst, maxTTL)
-	}
-	n := o.net.N()
-	if len(o.visited) != n {
-		o.visited = make([]int32, n)
-		o.parent = make([]int32, n)
-		o.stamp = 0
-	}
-	if o.stamp == math.MaxInt32 {
-		for i := range o.visited {
-			o.visited[i] = 0
-		}
-		o.stamp = 0
-	}
-	o.stamp++
-	stamp := o.stamp
-	o.visited[src] = stamp
-	o.parent[src] = -1
-	queue, depths := o.queue[:0], o.depths[:0]
-	queue = append(queue, int32(src))
-	depths = append(depths, 0)
-	for head := 0; head < len(queue); head++ {
-		cur, depth := int(queue[head]), int(depths[head])
-		if maxTTL > 0 && depth >= maxTTL {
-			continue
-		}
-		for _, nb := range o.net.Neighbors(cur) {
-			if o.visited[nb] == stamp {
-				continue
-			}
-			o.visited[nb] = stamp
-			o.parent[nb] = int32(cur)
-			if nb == dst {
-				// Walk back to find the first hop.
-				at := nb
-				for int(o.parent[at]) != src {
-					at = int(o.parent[at])
-				}
-				o.queue, o.depths = queue, depths
-				return at, true
-			}
-			queue = append(queue, int32(nb))
-			depths = append(depths, int32(depth+1))
-		}
-	}
-	o.queue, o.depths = queue, depths
-	return 0, false
+	return o.cache.nextHop(src, dst, maxTTL)
 }

@@ -1,6 +1,8 @@
 package aodv
 
 import (
+	"math"
+
 	"probquorum/internal/sim"
 )
 
@@ -8,25 +10,24 @@ import (
 // state for an imminent fan-out: the quorum layer calls it with the member
 // set it is about to message, so the router can build all missing routes in
 // one sharded parallel phase instead of serially on first use. Routers
-// without a cache implement it as a no-op.
+// without route state to prepare do not implement it.
 type RoutePrefetcher interface {
 	PrefetchRoutes(origin int, dsts []int)
 }
 
 var _ RoutePrefetcher = (*Oracle)(nil)
 
-// RouteCacheConfig configures the oracle route-tree cache.
+// RouteCacheConfig configures the oracle's route memo. None of its fields
+// can change an answer — they decide only when distance fields are built,
+// kept, and where the build work runs.
 type RouteCacheConfig struct {
-	// TTLSecs bounds how long a tree may serve queries after it was built.
-	// The heartbeat provider observes expiry lazily (a neighbor's
-	// disappearance bumps the graph version only when some list is next
-	// rebuilt), so a time bound is what guarantees trees track the observable
-	// graph; one beacon interval is a natural choice. <= 0 means no time
-	// bound — correct for the oracle-neighbor provider, whose version counter
-	// captures every possible change exactly.
+	// TTLSecs, when positive, bounds how long a field may serve queries
+	// after it was built. Validity already keys on the exact neighbor
+	// version, so an age bound only forces earlier rebuilds. <= 0 means no
+	// bound.
 	TTLSecs float64
-	// MaxTrees caps live trees; the oldest installed tree is evicted first
-	// (deterministic insertion order). 0 defaults to 1024.
+	// MaxTrees caps live distance fields; the oldest installed field is
+	// evicted first (deterministic insertion order). 0 defaults to 1024.
 	MaxTrees int
 	// Shards assigns destinations to build shards for PrefetchRoutes; nil
 	// falls back to round-robin by id. Spatial maps keep one shard's BFS
@@ -34,65 +35,83 @@ type RouteCacheConfig struct {
 	Shards *sim.ShardMap
 }
 
-// routeTree is a cached shortest-path tree toward one destination:
-// next[v] is v's first hop toward dst (-1 when v cannot reach dst). Built by
-// a reverse BFS from dst treating the beacon graph as undirected — an
-// idealization that matches the forward BFS exactly on geometric (symmetric)
-// neighborhoods, which is the only regime the cache is enabled in
-// (DESIGN.md §15).
-type routeTree struct {
+// noPath marks a node with no path to the field's destination; allExact
+// is the exact bound of a freshly built field, which covers noPath too.
+const (
+	noPath   = math.MaxUint16
+	allExact = noPath + 1
+)
+
+// distField is a per-destination hop-distance field: dist[v] is the number
+// of hops from v to dst, or noPath, on the neighbor graph of version
+// version — for labels below exact. A label at or above exact promises
+// only that the true distance is at least exact. A build makes every label
+// exact; revalidation may lower the bound (see revalidate). built is the
+// build time, for the optional age bound.
+type distField struct {
 	dst     int
-	next    []int32
+	dist    []uint16
+	exact   int
 	built   float64
 	version uint64
+	// stopSrc, when not -1, lets a build stop once it settles the query
+	// for stopSrc within stopTTL hops (0 = unbounded).
+	stopSrc, stopTTL int
 }
 
-// routeCache answers next-hop queries — unbounded and TTL-scoped — from
-// per-destination trees.
-// A tree is valid while the neighbor-graph version is unchanged and its age
-// is within TTL; invalid or missing trees are rebuilt serially on demand, or
-// in bulk — one sharded parallel phase — by PrefetchRoutes.
-type routeCache struct {
-	o        *Oracle
-	ttl      float64
-	maxTrees int
-	sm       *sim.ShardMap
+// routeMemo answers next-hop queries — unbounded and TTL-scoped — from
+// per-destination distance fields. The answer for (src, dst) is the lowest
+// id in src's ascending neighbor list whose distance is dist[src]−1: the
+// first hop the forward BFS from src returns, since that BFS queues nodes
+// grouped by first hop in ascending id order and so always reaches dst
+// first through the lowest-id first hop among all shortest paths. A field
+// is valid while the neighbor version is unchanged (and within the
+// optional age bound). Once the version moves, a field is revalidated
+// against the provider's change log, which may lower its exact bound, and
+// rebuilt — serially on demand, or in bulk in one sharded parallel phase
+// by PrefetchRoutes — only when that cannot settle a query. Every label a
+// query reads equals a fresh build's, so when fields are built never
+// changes an answer: the memo is pure (DESIGN.md §15).
+type routeMemo struct {
+	o         *Oracle
+	ttl       float64
+	maxFields int
+	sm        *sim.ShardMap
 
-	trees map[int]*routeTree
-	// order holds every installed tree exactly once, oldest first (head is
-	// the logical front). Popping releases the tree to the free list; if it
-	// is still the current tree for its destination it is also evicted from
-	// the map. A replaced tree is therefore released when its order entry
-	// pops, never earlier — each tree is released exactly once.
-	order []*routeTree
-	head  int
-	free  [][]int32
+	// fields holds the current field of each destination (nil: none).
+	// order lists their destinations, oldest install first (head is the
+	// logical front); a rebuilt field keeps its place. free holds the
+	// buffers of evicted fields for reuse.
+	fields []*distField
+	order  []int32
+	head   int
+	free   [][]uint16
 
-	// Prefetch scratch. missing/pending are the per-item destination and
-	// pre-assigned tree of the current parallel phase; seen is a stamp array
-	// deduplicating the dst list.
-	missing   []int
-	pending   []*routeTree
+	// The transposed neighbor snapshot in CSR form: the live nodes whose
+	// lists contain v are inAdj[inStart[v]:inStart[v+1]]. Built serially
+	// once per neighbor version (inOK false: never built).
+	inStart   []int32
+	inAdj     []int32
+	inVersion uint64
+	inOK      bool
+
+	// Prefetch scratch. pending holds the pre-assigned field of each item
+	// of the current parallel phase; seen is a stamp array deduplicating
+	// the dst list.
+	pending   []*distField
 	seen      []int32
 	seenStamp int32
 
-	// Per-shard BFS scratch, indexed by the ShardMap's (unclamped) shard id:
-	// items that could ever run concurrently live in different engine
-	// buckets, and distinct shard ids never share a bucket's scratch slot.
-	visited [][]int32
-	stamps  []int32
-	queues  [][]int32
+	// Per-shard BFS queues, indexed by the ShardMap's (unclamped) shard
+	// id: items that could ever run concurrently live in different engine
+	// buckets, and distinct shard ids never share a bucket's queue.
+	queues [][]int32
 
 	evalFn func(int)
 }
 
-// EnableRouteCache switches the oracle's next-hop queries — unbounded and
-// TTL-scoped — to cached next-hop trees and makes PrefetchRoutes build
-// missing trees in a sharded parallel phase. Purely a throughput
-// optimization on symmetric neighbor graphs: reachability answers match the
-// exact BFS (tree paths are shortest paths), with the reverse build's
-// tie-breaking choosing among equal-length first hops.
-func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
+// newRouteMemo builds the oracle's memo.
+func newRouteMemo(o *Oracle, cfg RouteCacheConfig) *routeMemo {
 	n := o.net.N()
 	if cfg.MaxTrees <= 0 {
 		cfg.MaxTrees = 1024
@@ -101,47 +120,45 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 	if sm == nil {
 		sm = sim.NewShardMap(8, n, float64(n), func(id int) float64 { return float64(id) })
 	}
-	k := sm.Shards()
-	c := &routeCache{
-		o:        o,
-		ttl:      cfg.TTLSecs,
-		maxTrees: cfg.MaxTrees,
-		sm:       sm,
-		trees:    make(map[int]*routeTree),
-		seen:     make([]int32, n),
-		visited:  make([][]int32, k),
-		stamps:   make([]int32, k),
-		queues:   make([][]int32, k),
-	}
-	for s := 0; s < k; s++ {
-		c.visited[s] = make([]int32, n)
+	c := &routeMemo{
+		o:         o,
+		ttl:       cfg.TTLSecs,
+		maxFields: cfg.MaxTrees,
+		sm:        sm,
+		fields:    make([]*distField, n),
+		seen:      make([]int32, n),
+		queues:    make([][]int32, sm.Shards()),
 	}
 	c.evalFn = c.eval
-	o.cache = c
+	return c
 }
 
-// PrefetchRoutes implements RoutePrefetcher: ensure a valid tree exists for
-// every alive destination in dsts, building all missing ones in one
-// ShardedEval phase over the frozen neighbor lists. A no-op unless
-// EnableRouteCache ran.
+// EnableRouteCache reconfigures the oracle's route memo (NewOracle installs
+// one with the zero config): its field cap, its optional age bound, and
+// the shard map its prefetch builds on. Fields built so far are dropped.
+func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
+	o.cache = newRouteMemo(o, cfg)
+}
+
+// PrefetchRoutes implements RoutePrefetcher: ensure a valid field exists
+// for every alive destination in dsts, building all missing ones in one
+// ShardedEval phase over the frozen neighbor snapshot.
 func (o *Oracle) PrefetchRoutes(origin int, dsts []int) {
-	if o.cache != nil {
-		o.cache.prefetch(dsts)
-	}
+	o.cache.prefetch(origin, dsts)
 }
 
-func (c *routeCache) prefetch(dsts []int) {
+func (c *routeMemo) prefetch(origin int, dsts []int) {
 	net := c.o.net
 	net.PrepareNeighbors()
 	now, ver := c.o.engine.Now(), net.NeighborVersion()
-	if c.seenStamp == 1<<31-1 {
+	if c.seenStamp == math.MaxInt32 {
 		for i := range c.seen {
 			c.seen[i] = 0
 		}
 		c.seenStamp = 0
 	}
 	c.seenStamp++
-	c.missing = c.missing[:0]
+	c.pending = c.pending[:0]
 	for _, dst := range dsts {
 		if c.seen[dst] == c.seenStamp {
 			continue
@@ -150,153 +167,272 @@ func (c *routeCache) prefetch(dsts []int) {
 		if !net.Alive(dst) {
 			continue
 		}
-		if t := c.trees[dst]; t != nil && c.valid(t, now, ver) {
+		if f := c.fields[dst]; f != nil && (c.valid(f, now, ver) || c.revalidate(f, now, ver)) && f.knows(origin) {
 			continue
 		}
-		c.missing = append(c.missing, dst)
+		c.pending = append(c.pending, c.claim(dst, now, ver, origin, 0))
 	}
-	if len(c.missing) == 0 {
+	if len(c.pending) == 0 {
 		return
 	}
-	// Pre-assign tree buffers serially (the free list is shared state), then
-	// build tree contents in parallel and stage the map installs for the
-	// barrier, where they commit in ascending item order.
-	c.pending = c.pending[:0]
-	for range c.missing {
-		c.pending = append(c.pending, c.take())
+	// Fields and the snapshot are assigned serially (the free list is
+	// shared state); the parallel phase only fills distances. Installs run
+	// after the barrier in ascending item order.
+	c.transpose(ver)
+	c.o.engine.ShardedEval(len(c.pending), c.shardOfItem, c.evalFn)
+	for _, f := range c.pending {
+		c.install(f)
 	}
-	c.o.engine.ShardedEval(len(c.missing), c.shardOfItem, c.evalFn)
 }
 
-func (c *routeCache) shardOfItem(i int) int { return c.sm.Shard(c.missing[i]) }
+func (c *routeMemo) shardOfItem(i int) int { return c.sm.Shard(c.pending[i].dst) }
 
-// eval builds item i's tree on its shard's scratch and stages the install.
-// Reads frozen neighbor lists and writes only the item's own tree plus the
-// shard's scratch (items of one shard run sequentially on one worker).
-func (c *routeCache) eval(i int) {
-	dst := c.missing[i]
-	t := c.pending[i] //pqlint:parshared(per-item tree slot, pre-assigned serially before the phase)
-	c.build(t, dst, c.sm.Shard(dst))
-	t.dst = dst
-	c.o.engine.Stage(i, func() { c.install(t) })
+// eval fills item i's field on its shard's queue. Reads the frozen
+// transposed snapshot and writes only the item's own field plus the
+// shard's queue (items of one shard run sequentially on one worker).
+func (c *routeMemo) eval(i int) {
+	f := c.pending[i] //pqlint:parshared(per-item field slot, pre-assigned serially before the phase)
+	c.build(f, c.sm.Shard(f.dst))
 }
 
-// build fills t.next with the first hop toward dst for every node that can
-// reach it, via BFS from dst over the frozen (symmetric) neighbor lists.
-// When a node w is first reached from u, u is one hop closer to dst, so
-// next[w] = u yields a shortest path.
-func (c *routeCache) build(t *routeTree, dst, shard int) {
-	n := c.o.net.N()
-	if len(t.next) != n {
-		t.next = make([]int32, n) //pqlint:parshared(per-item tree storage: t is this item's pre-assigned tree, touched by no other worker)
-	}
-	vis := c.visited[shard] //pqlint:parshared(per-shard BFS scratch; shard ids never share an engine bucket)
-	if c.stamps[shard] == 1<<31-1 {
-		for i := range vis {
-			vis[i] = 0
+// claim returns the field to (re)build for dst, stamped with the snapshot
+// it will hold: dst's current (stale) field, rebuilt in place, or a fresh
+// one on a pooled buffer. A fresh field is built complete; a stale one only
+// as deep as the query for src within maxTTL needs — a graph that changed
+// under a field is likely to change again before far sources ask.
+func (c *routeMemo) claim(dst int, now float64, ver uint64, src, maxTTL int) *distField {
+	f := c.fields[dst]
+	if f == nil {
+		f = &distField{dst: dst}
+		if k := len(c.free); k > 0 {
+			f.dist = c.free[k-1]
+			c.free = c.free[:k-1]
+		} else {
+			f.dist = make([]uint16, c.o.net.N())
 		}
-		c.stamps[shard] = 0 //pqlint:parshared(per-shard BFS scratch)
+		src = -1
 	}
-	c.stamps[shard]++ //pqlint:parshared(per-shard BFS scratch)
-	stamp := c.stamps[shard]
-	queue := c.queues[shard][:0]
-	vis[dst] = stamp
-	t.next[dst] = -1 //pqlint:parshared(per-item tree storage)
-	queue = append(queue, int32(dst))
-	for head := 0; head < len(queue); head++ {
-		u := int(queue[head])
-		for _, w := range c.o.net.FrozenNeighbors(u) {
-			if vis[w] == stamp {
-				continue
+	f.built, f.version, f.stopSrc, f.stopTTL = now, ver, src, maxTTL
+	return f
+}
+
+// transpose rebuilds the in-edge snapshot from the frozen neighbor lists
+// unless it already holds version ver. Counting sort: in-degrees land at
+// inStart[v+2], prefix sums turn inStart[v+1] into v's write cursor, and
+// the fill advances each cursor to the start of the next list.
+func (c *routeMemo) transpose(ver uint64) {
+	if c.inOK && c.inVersion == ver {
+		return
+	}
+	net := c.o.net
+	n := net.N()
+	if len(c.inStart) != n+2 {
+		c.inStart = make([]int32, n+2)
+	}
+	start := c.inStart
+	for i := range start {
+		start[i] = 0
+	}
+	for u := 0; u < n; u++ {
+		if net.Alive(u) {
+			for _, v := range net.FrozenNeighbors(u) {
+				start[v+2]++
 			}
-			vis[w] = stamp
-			t.next[w] = int32(u) //pqlint:parshared(per-item tree storage)
-			queue = append(queue, int32(w))
 		}
 	}
-	for v := range t.next {
-		if vis[v] != stamp {
-			t.next[v] = -1 //pqlint:parshared(per-item tree storage)
+	for v := 2; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	m := int(start[n+1])
+	if cap(c.inAdj) < m {
+		// Headroom: the edge count drifts with every neighbor version.
+		c.inAdj = make([]int32, m, m+m/8)
+	}
+	c.inAdj = c.inAdj[:m]
+	for u := 0; u < n; u++ {
+		if net.Alive(u) {
+			for _, v := range net.FrozenNeighbors(u) {
+				c.inAdj[start[v+1]] = int32(u)
+				start[v+1]++
+			}
 		}
 	}
-	c.queues[shard] = queue //pqlint:parshared(per-shard BFS scratch)
+	c.inVersion, c.inOK = ver, true
 }
 
-// install publishes a built tree: stamp validity, evict past the cap, and
-// make it current for its destination. Runs serially (commit phase or the
-// serial miss path).
-func (c *routeCache) install(t *routeTree) {
-	t.built = c.o.engine.Now()
-	t.version = c.o.net.NeighborVersion()
-	for len(c.trees) >= c.maxTrees && c.head < len(c.order) {
-		old := c.order[c.head]
-		c.order[c.head] = nil
-		c.head++
-		if c.trees[old.dst] == old {
-			delete(c.trees, old.dst)
+// build fills f.dist by BFS from f.dst over the transposed snapshot: the
+// in-neighbors of a node at distance d are at most d+1 hops from dst, and
+// the first visit is the shortest. Dead nodes own no lists, so they get no
+// distance (besides a destination, which callers keep alive). When the
+// first node of level L is dequeued, every node within L hops is labelled
+// and none farther; a bounded build stops there, with exact bound L+1,
+// once that settles its query. uint16 labels cap paths at 65534 hops,
+// which only a chain of more than 65535 nodes could exceed; the
+// simulator's geometric graphs are a few hundred hops across at 100k.
+func (c *routeMemo) build(f *distField, shard int) {
+	dist := f.dist
+	for i := range dist {
+		dist[i] = noPath
+	}
+	dist[f.dst] = 0
+	f.exact = allExact //pqlint:parshared(per-item field, pre-assigned serially before the phase)
+	queue := append(c.queues[shard][:0], int32(f.dst))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if level := int(dist[u]); f.stopSrc >= 0 && (int(dist[f.stopSrc]) <= level || (f.stopTTL > 0 && level >= f.stopTTL)) {
+			f.exact = level + 1 //pqlint:parshared(per-item field)
+			break
 		}
-		c.free = append(c.free, old.next)
+		d := dist[u] + 1
+		if d == noPath {
+			panic("aodv: route memo hop distance exceeds 65534")
+		}
+		for _, w := range c.inAdj[c.inStart[u]:c.inStart[u+1]] {
+			if dist[w] == noPath {
+				dist[w] = d
+				queue = append(queue, w)
+			}
+		}
+	}
+	c.queues[shard] = queue //pqlint:parshared(per-shard BFS queue; shard ids never share an engine bucket)
+}
+
+// install makes a built field current for its destination, evicting the
+// oldest past the cap. Runs serially (after the phase or on the serial
+// miss path); a field rebuilt in place is already current.
+func (c *routeMemo) install(f *distField) {
+	if c.fields[f.dst] == f {
+		return
+	}
+	for len(c.order)-c.head >= c.maxFields {
+		old := c.fields[c.order[c.head]]
+		c.fields[old.dst] = nil
+		c.free = append(c.free, old.dist)
+		c.head++
 	}
 	if c.head > len(c.order)/2 && c.head > 64 {
 		c.order = append(c.order[:0], c.order[c.head:]...)
 		c.head = 0
 	}
-	c.trees[t.dst] = t
-	c.order = append(c.order, t)
+	c.fields[f.dst] = f
+	c.order = append(c.order, int32(f.dst))
 }
 
-func (c *routeCache) take() *routeTree {
-	t := &routeTree{}
-	if k := len(c.free); k > 0 {
-		t.next = c.free[k-1]
-		c.free = c.free[:k-1]
-	}
-	return t
+func (c *routeMemo) valid(f *distField, now float64, ver uint64) bool {
+	return f.version == ver && c.young(f, now)
 }
 
-func (c *routeCache) valid(t *routeTree, now float64, ver uint64) bool {
-	return t.version == ver && (c.ttl <= 0 || now-t.built <= c.ttl)
+// knows reports whether f's label for src is exact.
+func (f *distField) knows(src int) bool { return int(f.dist[src]) < f.exact }
+
+func (c *routeMemo) young(f *distField, now float64) bool {
+	return c.ttl <= 0 || now-f.built <= c.ttl
 }
 
-// nextHop answers a query from the destination's tree, building it serially
-// on a miss. A dead destination is unreachable, exactly as the forward BFS
-// reports (a dead node appears in no live neighbor list).
+// revalidate re-stamps a stale field with version ver (read right after a
+// PrepareNeighbors), checking only the nodes whose lists changed since it
+// was stamped, and lowers its exact bound to what the changes leave
+// exact. Reports false (rebuild) when the provider cannot list the
+// changes, when there are too many to beat a rebuild, or when the field
+// is past its age bound.
 //
-// Scoped queries (maxTTL > 0) are answered by walking the tree from src:
-// tree paths are shortest paths, so dst is within maxTTL hops iff the walk
-// reaches it in at most maxTTL steps. That makes every per-hop forwarding
-// query O(remaining path) instead of an O(n) bounded BFS — the tree build
-// is the only graph-sized cost, amortized across all queries to dst.
-func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
+// Why it holds. Let m be the exact bound and read every label as
+// min(label, m). The true distances, read the same way, are the unique
+// labelling with dst at 0 in which every other live node's label is
+// min(m, 1 + its neighbors' least) — the least neighbor traces a path of
+// that length, and along a shortest path labels rise by at most one per
+// hop. Nodes whose lists did not change keep their neighbors and
+// satisfy the rule as before. A changed node u with label a whose new
+// neighbors give b = 1 + least satisfies it if a = b, and at any bound
+// m ≤ min(a, b) otherwise (both sides read as m). So lowering m to the
+// least such min(a, b) restores the rule everywhere, and the labels below
+// it are exact. Dead nodes hold no lists and are never read.
+func (c *routeMemo) revalidate(f *distField, now float64, ver uint64) bool {
+	if !c.young(f, now) {
+		return false
+	}
 	net := c.o.net
-	if !net.Alive(dst) {
+	ids, ok := net.NeighborChangesSince(f.version)
+	if !ok || len(ids) > len(f.dist)/4 {
+		return false
+	}
+	for _, u := range ids {
+		if int(u) == f.dst || !net.Alive(int(u)) {
+			continue
+		}
+		least := uint16(noPath)
+		for _, w := range net.FrozenNeighbors(int(u)) {
+			if f.dist[w] < least {
+				least = f.dist[w]
+			}
+		}
+		if least != noPath {
+			least++
+		}
+		if a := f.dist[u]; a != least && int(min(a, least)) < f.exact {
+			f.exact = int(min(a, least))
+		}
+	}
+	f.version = ver
+	return true
+}
+
+// nextHop answers a query from dst's field, building it serially when it
+// is missing or stale. A dead destination, or a dead source, is
+// unreachable.
+func (c *routeMemo) nextHop(src, dst, maxTTL int) (int, bool) {
+	net := c.o.net
+	if !net.Alive(dst) || !net.Alive(src) {
 		return 0, false
 	}
 	now, ver := c.o.engine.Now(), net.NeighborVersion()
-	t := c.trees[dst]
-	if t == nil || !c.valid(t, now, ver) {
-		// Serial miss path: same snapshot discipline as prefetch — prepare
-		// (which may advance the version), then build over frozen lists;
-		// install stamps the post-prepare version.
+	f := c.fields[dst]
+	if f == nil || !c.valid(f, now, ver) {
+		// Same snapshot discipline as prefetch: prepare (which may advance
+		// the version), then revalidate or build over the frozen lists.
 		net.PrepareNeighbors()
-		t = c.take()
-		c.build(t, dst, c.sm.Shard(dst))
-		t.dst = dst
-		c.install(t)
-	}
-	nh := t.next[src]
-	if nh < 0 {
-		return 0, false
-	}
-	if maxTTL > 0 {
-		v, steps := int(nh), 1
-		for v != dst {
-			if steps >= maxTTL {
-				return 0, false
-			}
-			v = int(t.next[v])
-			steps++
+		ver = net.NeighborVersion()
+		if f != nil && !c.valid(f, now, ver) && !c.revalidate(f, now, ver) {
+			f = nil
 		}
 	}
-	return int(nh), true
+	if f != nil {
+		if hop, ok, known := c.answer(f, src, maxTTL); known {
+			return hop, ok
+		}
+	}
+	f = c.claim(dst, now, ver, src, maxTTL)
+	c.transpose(ver)
+	c.build(f, c.sm.Shard(dst))
+	c.install(f)
+	hop, ok, _ := c.answer(f, src, maxTTL)
+	return hop, ok
+}
+
+// answer reads the next hop off a field valid at the current version: dst
+// is within maxTTL hops iff dist[src] ≤ maxTTL, and the hop is the first
+// neighbor one step closer. src's frozen list is the one the field holds,
+// since the version has not moved. known is false when src's label is at
+// or above the exact bound and that bound cannot settle the query.
+//
+//pqlint:noalloc
+func (c *routeMemo) answer(f *distField, src, maxTTL int) (hop int, ok, known bool) {
+	d := int(f.dist[src])
+	if d >= f.exact {
+		// The true distance is at least f.exact: beyond a smaller scope,
+		// unknown otherwise.
+		return 0, false, maxTTL > 0 && maxTTL < f.exact
+	}
+	if d == 0 {
+		return src, true, true
+	}
+	if d == noPath || (maxTTL > 0 && d > maxTTL) {
+		return 0, false, true
+	}
+	for _, nb := range c.o.net.FrozenNeighbors(src) {
+		if int(f.dist[nb]) == d-1 {
+			return nb, true, true
+		}
+	}
+	return 0, false, true
 }

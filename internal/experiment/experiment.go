@@ -119,18 +119,16 @@ type Scenario struct {
 	// draws are a different (equally uniform) sample than the eager shared
 	// stream, so recorded eager figures keep this off.
 	LazyMembership bool
-	// RouteCache enables the oracle router's per-destination route-tree
-	// cache with sharded parallel prefetch (aodv.EnableRouteCache).
-	// Requires OracleRouting. Purely a throughput knob on symmetric
-	// neighbor graphs — every query returns the hop the exact BFS would —
-	// but cached trees see heartbeat-graph changes only on the
-	// version/TTL boundary, so recorded figures keep it off.
-	RouteCache bool
 	// OracleNeighbors swaps the heartbeat neighbor protocol for the
 	// geometric oracle provider (no beacon traffic) — the giga tier's way
 	// to drop 100k nodes' beacon load from the PHY while keeping the
 	// routed workload honest.
 	OracleNeighbors bool
+
+	// noPrefetch hands the quorum layer the router without its
+	// aodv.RoutePrefetcher side, so route fields are only ever built on
+	// first use — the purity check of the route memo.
+	noPrefetch bool
 }
 
 func (sc *Scenario) fillDefaults() {
@@ -315,7 +313,21 @@ func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *memb
 	net := netstack.New(engine, cfg)
 	var routing aodv.Router
 	if sc.OracleRouting {
-		routing = aodv.NewOracle(net)
+		// The oracle's route memo prefetches on a spatial shard map over
+		// true positions at build time — shardOf must stay pure during
+		// phases, and node positions only enter it through this frozen
+		// stripe assignment. The map decides where fields are built, never
+		// an answer.
+		oracle := aodv.NewOracle(net)
+		k := sc.Shards
+		if k < 1 {
+			k = 1
+		}
+		sm := sim.NewShardMap(k, total, cfg.Side, func(id int) float64 {
+			return net.Position(id).X
+		})
+		oracle.EnableRouteCache(aodv.RouteCacheConfig{Shards: sm})
+		routing = oracle
 	} else {
 		acfg := aodv.DefaultConfig()
 		if sc.IdealHopDelay > 0 {
@@ -327,36 +339,17 @@ func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *memb
 		}
 		routing = aodv.New(net, acfg)
 	}
-	if sc.RouteCache {
-		oracle, ok := routing.(*aodv.Oracle)
-		if !ok {
-			panic("experiment: RouteCache requires OracleRouting")
-		}
-		// Spatial shard map over true positions at build time — shardOf
-		// must stay pure during phases, and node positions only enter it
-		// through this frozen stripe assignment. TTL bounds tree staleness
-		// against the heartbeat provider's lazily observed expiries; the
-		// oracle provider's version counter is exact, so no bound needed.
-		k := sc.Shards
-		if k < 1 {
-			k = 1
-		}
-		sm := sim.NewShardMap(k, total, cfg.Side, func(id int) float64 {
-			return net.Position(id).X
-		})
-		ttl := 1.0
-		if sc.OracleNeighbors {
-			ttl = 0
-		}
-		oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: ttl, Shards: sm})
-	}
 	members := membership.New(net, membership.Config{
 		ViewSize:    membership.DefaultViewSize(sc.N),
 		RefreshSecs: sc.MembershipRefreshSecs,
 		Estimation:  sc.Estimation,
 		Lazy:        sc.LazyMembership,
 	})
-	sys := quorum.New(net, routing, members, sc.Quorum)
+	qr := routing
+	if sc.noPrefetch {
+		qr = struct{ aodv.Router }{routing}
+	}
+	sys := quorum.New(net, qr, members, sc.Quorum)
 	for id := sc.N; id < total; id++ {
 		net.Fail(id) // joiners wait in the wings
 		// Release the view the initial refresh materialized for this

@@ -48,9 +48,6 @@ type MegaConfig struct {
 	// DenseMembership opts out of lazy draw-on-demand membership views,
 	// restoring the previous eager posture (and its refresh allocations).
 	DenseMembership bool
-	// RouteCacheOff opts out of the oracle route-tree cache, restoring
-	// per-hop BFS routing.
-	RouteCacheOff bool
 	// CellNoiseOff disables the cell-aggregated interference model and
 	// runs the exact per-arrival SINR physics (much slower at this n).
 	CellNoiseOff bool
@@ -127,12 +124,9 @@ type MegaResult struct {
 	Shards     int
 	Giga       bool
 	CellNoise  bool
-	// Dense records that the run opted out of lazy membership, and NoCache
-	// that it opted out of the route-tree cache (together: the pre-scale-PR
-	// serial posture). Each suffixes the bench name so the A/B variants
-	// coexist in BENCH.json.
+	// Dense records that the run opted out of lazy membership; it
+	// suffixes the bench name so the A/B variants coexist in BENCH.json.
 	Dense      bool
-	NoCache    bool
 	Lookups    int
 	Hits       int
 	Intersects int
@@ -179,9 +173,6 @@ func (r MegaResult) BenchLine() string {
 	variant := ""
 	if r.Dense {
 		variant = "/dense=1"
-	}
-	if r.NoCache {
-		variant += "/nocache=1"
 	}
 	return fmt.Sprintf("Benchmark%sScenario/n=%d/workers=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
 		name, r.N, r.Workers, r.Shards, variant, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
@@ -230,12 +221,9 @@ func RunMega(mc MegaConfig) MegaResult {
 		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
 		Workers: mc.Workers, Shards: mc.Shards, CellNoise: !mc.CellNoiseOff,
 		OracleRouting: !mc.AODV,
-		// The scale posture: draw-on-demand membership views and cached
-		// route trees with sharded prefetch. Opt-outs restore the old
-		// behavior for A/B runs; the route cache requires the oracle
-		// router, so AODV runs keep it off automatically.
+		// The scale posture: draw-on-demand membership views (opt out for
+		// A/B runs) and the oracle's route memo with sharded prefetch.
 		LazyMembership:  !mc.DenseMembership,
-		RouteCache:      !mc.RouteCacheOff && !mc.AODV,
 		OracleNeighbors: mc.OracleNeighbors,
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: mc.ChurnRate, ChurnJoinRate: mc.ChurnRate,
@@ -305,7 +293,7 @@ func RunMega(mc MegaConfig) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Workers: mc.Workers, Shards: mc.Shards, Giga: mc.Giga, CellNoise: !mc.CellNoiseOff, Dense: mc.DenseMembership, NoCache: mc.RouteCacheOff}
+	res := MegaResult{N: mc.N, Workers: mc.Workers, Shards: mc.Shards, Giga: mc.Giga, CellNoise: !mc.CellNoiseOff, Dense: mc.DenseMembership}
 	origins := make([]int, mc.LookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)

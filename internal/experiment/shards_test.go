@@ -11,16 +11,16 @@ import (
 )
 
 // shardsScenario exercises everything the sharded-phase path touches: oracle
-// routing with the route cache on (so quorum fan-outs trigger ShardedEval
-// prefetches with staged installs), heartbeat neighbor discovery (the
-// version/TTL validity path), lazy membership, SINR with continuous churn so
-// trees invalidate and rebuild mid-run.
+// routing (so quorum fan-outs trigger ShardedEval prefetches of the route
+// memo's distance fields), heartbeat neighbor discovery (the exact-version
+// validity path), lazy membership, SINR with continuous churn so fields
+// invalidate and rebuild mid-run.
 func shardsScenario(shards int) Scenario {
 	sc := Scenario{
 		N: 120, Stack: netstack.StackSINR, Seed: 9,
 		Advertisements: 8, Lookups: 40, LookupNodes: 8,
 		ChurnFailRate: 0.2, ChurnJoinRate: 0.2,
-		OracleRouting: true, RouteCache: true, LazyMembership: true,
+		OracleRouting: true, LazyMembership: true,
 		Shards: shards,
 	}
 	sc.Quorum = mixConfig(sc.N, quorum.Random, quorum.Random)
@@ -67,5 +67,19 @@ func TestShardsResizeMidRun(t *testing.T) {
 	}
 	if got, want := run(true), run(false); got != want {
 		t.Errorf("mid-run SetShards perturbed the run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRouteMemoPrefetchPure runs the shards scenario — SINR, heartbeat
+// neighbors, churn — with the quorum layer seeing the oracle with and
+// without its RoutePrefetcher side. Prefetching decides only when distance
+// fields are built, so the Result must be identical.
+func TestRouteMemoPrefetchPure(t *testing.T) {
+	with := shardsScenario(0)
+	without := shardsScenario(0)
+	without.noPrefetch = true
+	got, want := fmt.Sprintf("%+v", Run(without)), fmt.Sprintf("%+v", Run(with))
+	if got != want {
+		t.Errorf("run without prefetch diverged:\n got %s\nwant %s", got, want)
 	}
 }

@@ -80,7 +80,7 @@ type Service struct {
 	rng   *rand.Rand
 	views [][]int
 	// scratch is reused by Pick so the quorum hot path allocates only its
-	// result slice.
+	// result slice, and by view draws to stage their candidates.
 	scratch []int
 
 	// Continuous estimation state (nil slices when disabled). gens counts
@@ -208,7 +208,7 @@ func (s *Service) refreshOracle() {
 			s.skipDead(id)
 			continue
 		}
-		s.views[id] = sampleDistinct(s.rng, alive, id, s.cfg.ViewSize)
+		s.views[id] = s.sampleDistinct(nil, s.rng, alive, id, s.cfg.ViewSize)
 		s.bumpGen(id)
 	}
 }
@@ -292,25 +292,7 @@ func (s *Service) ensureView(id int) []int {
 		return s.views[id]
 	}
 	rng := rand.New(rand.NewSource(int64(mix64(s.lazySeed, uint64(id), s.curGen, s.bootEpoch[id]))))
-	// Same uniform without-replacement draw as sampleDistinct, staged
-	// through the reused scratch so materialization doesn't allocate the
-	// O(n) candidate slice eager refreshes pay per node.
-	s.scratch = s.scratch[:0]
-	for _, v := range s.net.AliveIDs() {
-		if v != id {
-			s.scratch = append(s.scratch, v)
-		}
-	}
-	k := s.cfg.ViewSize
-	if k > len(s.scratch) {
-		k = len(s.scratch)
-	}
-	view := s.views[id][:0]
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(s.scratch)-i)
-		s.scratch[i], s.scratch[j] = s.scratch[j], s.scratch[i]
-		view = append(view, s.scratch[i])
-	}
+	view := s.sampleDistinct(s.views[id], rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
 	s.views[id] = view
 	s.viewGen[id] = s.curGen
 	s.viewEpoch[id] = s.bootEpoch[id]
@@ -370,30 +352,37 @@ func (s *Service) RefreshNode(id int) {
 	}
 	switch s.cfg.Mode {
 	case ModeOracle:
-		s.views[id] = sampleDistinct(s.rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
+		s.views[id] = s.sampleDistinct(nil, s.rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
 	case ModeRandomWalk:
 		s.refreshNodeWalk(s.snapshotGraph(), id)
 	}
 	s.bumpGen(id)
 }
 
-// sampleDistinct draws k distinct elements of pool, excluding exclude.
-func sampleDistinct(rng *rand.Rand, pool []int, exclude, k int) []int {
-	candidates := make([]int, 0, len(pool))
+// sampleDistinct draws k distinct elements of pool, excluding exclude, by a
+// partial Fisher–Yates shuffle over the reused scratch. The draw goes into
+// view's backing array when it holds k, else into a right-sized new one,
+// so a stored view never pins an n-sized array.
+func (s *Service) sampleDistinct(view []int, rng *rand.Rand, pool []int, exclude, k int) []int {
+	s.scratch = s.scratch[:0]
 	for _, v := range pool {
 		if v != exclude {
-			candidates = append(candidates, v)
+			s.scratch = append(s.scratch, v)
 		}
 	}
-	if k > len(candidates) {
-		k = len(candidates)
+	if k > len(s.scratch) {
+		k = len(s.scratch)
 	}
-	// Partial Fisher–Yates shuffle.
+	if cap(view) < k {
+		view = make([]int, 0, k)
+	}
+	view = view[:0]
 	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
+		j := i + rng.Intn(len(s.scratch)-i)
+		s.scratch[i], s.scratch[j] = s.scratch[j], s.scratch[i]
+		view = append(view, s.scratch[i])
 	}
-	return candidates[:k]
+	return view
 }
 
 // EstimateN estimates the network size from random-walk endpoint collisions

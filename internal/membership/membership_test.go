@@ -179,3 +179,60 @@ func TestEstimateN(t *testing.T) {
 		t.Fatal("estimate infinite despite collisions")
 	}
 }
+
+// TestViewsRightSized is the regression guard for eager views pinning an
+// n-sized backing array: every stored view, eager or lazy, must hold
+// exactly its own entries.
+func TestViewsRightSized(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		e := sim.NewEngine(3)
+		net := testNet(e, 200)
+		s := New(net, Config{Lazy: lazy})
+		s.RefreshNode(7)
+		s.RefreshAll()
+		for id := 0; id < 200; id++ {
+			if v := s.View(id); cap(v) != len(v) {
+				t.Fatalf("lazy=%v: view of %d has len %d but cap %d", lazy, id, len(v), cap(v))
+			}
+		}
+	}
+}
+
+// TestSampleDistinctDraws pins the eager draw to the allocate-per-call
+// shuffle it replaced: the same RNG calls, hence the same views.
+func TestSampleDistinctDraws(t *testing.T) {
+	ref := func(rng *rand.Rand, pool []int, exclude, k int) []int {
+		candidates := make([]int, 0, len(pool))
+		for _, v := range pool {
+			if v != exclude {
+				candidates = append(candidates, v)
+			}
+		}
+		if k > len(candidates) {
+			k = len(candidates)
+		}
+		for i := 0; i < k; i++ {
+			j := i + rng.Intn(len(candidates)-i)
+			candidates[i], candidates[j] = candidates[j], candidates[i]
+		}
+		return candidates[:k]
+	}
+	pool := make([]int, 60)
+	for i := range pool {
+		pool[i] = 3 * i
+	}
+	s := &Service{rng: rand.New(rand.NewSource(11))}
+	want := rand.New(rand.NewSource(11))
+	for call := 0; call < 50; call++ {
+		exclude, k := pool[call%len(pool)], 1+call%70
+		got, exp := s.sampleDistinct(nil, s.rng, pool, exclude, k), ref(want, pool, exclude, k)
+		if len(got) != len(exp) {
+			t.Fatalf("call %d: %d ids, want %d", call, len(got), len(exp))
+		}
+		for i := range got {
+			if got[i] != exp[i] {
+				t.Fatalf("call %d: draw %v, want %v", call, got, exp)
+			}
+		}
+	}
+}

@@ -14,12 +14,22 @@ type NeighborProvider interface {
 	// sorted ascending. The returned slice is owned by the provider and
 	// valid until the node's list is next rebuilt.
 	Neighbors(id int) []int
-	// Version is a counter that advances whenever some node's neighbor
-	// *set* is observed to change — a new neighbor appears, an entry
+	// Version is a counter that advances whenever some live node's
+	// neighbor *set* can have changed — a new neighbor appears, an entry
 	// expires, liveness flips, or (for position-derived providers on a
-	// mobile network) time advances. Consumers that cache derived state
-	// (the oracle router's route trees) key it on this counter.
+	// mobile network) time advances. It is exact in one direction: while
+	// it reads what it read right after a Prepare, every live node's list
+	// still equals its Frozen one, whether or not anyone has asked for it
+	// since. Consumers that memoize derived state (the oracle router's
+	// distance fields) key validity on it alone.
 	Version() uint64
+	// ChangedSince lists the nodes whose lists may have changed since the
+	// provider's Version read v, taken right after a Prepare — possibly
+	// with repeats — and reports whether it could: false when a change
+	// since v was global (a liveness flip, a mobile time step) or older
+	// than the provider remembers. The slice is the provider's own and
+	// valid until its next call.
+	ChangedSince(v uint64) ([]int32, bool)
 	// Prepare revalidates every live node's cached list at the current
 	// instant, so that a subsequent parallel phase within the same event
 	// can read them via Frozen without mutation.
@@ -39,12 +49,8 @@ type NeighborProvider interface {
 //     one timestamp the index is exact; a static network indexes once for
 //     the whole run), making one query O(degree) instead of O(n);
 //   - computed neighbor lists are memoized per (timestamp, aliveEpoch),
-//     so the router's per-hop BFS — which queries every visited node —
-//     recomputes each list at most once per event, and on a static
+//     so each list is recomputed at most once per event, and on a static
 //     network without churn exactly once per run.
-//
-// Together these take the per-hop BFS from O(n²) to amortized O(reached),
-// which is what lets open-loop load runs route 10⁵+ messages per figure.
 type oracleNeighbors struct {
 	net     *Network
 	grid    *geom.Grid
@@ -119,6 +125,12 @@ func (o *oracleNeighbors) Version() uint64 {
 	return o.version
 }
 
+// ChangedSince implements NeighborProvider: every version step of a
+// geometric provider is global.
+func (o *oracleNeighbors) ChangedSince(v uint64) ([]int32, bool) {
+	return nil, v == o.Version()
+}
+
 // Prepare implements NeighborProvider: revalidate every live node's list.
 func (o *oracleNeighbors) Prepare() {
 	o.refresh()
@@ -145,12 +157,15 @@ const beaconBytes = 20
 // actually change: a beacon that adds a previously absent (or expired)
 // sender marks the node dirty, a liveness flip invalidates via aliveEpoch,
 // and the passage of time invalidates at the earliest cached-entry expiry.
+// Each of these also advances Version the moment it happens — dirty
+// beacons directly, expiries through the due heap Version drains — so the
+// counter is exact without anyone having to re-read the affected list.
 // Within the validity window a cached list equals what a fresh scan would
 // return — a refresh beacon from a current neighbor changes timestamps, not
 // membership — so caching is observationally equivalent to the previous
 // rebuild-per-call implementation (same lists, same sorted order, same
-// expiry semantics) while taking the oracle router's per-hop BFS from
-// "rebuild and sort every visited node's map" to a slice read.
+// expiry semantics) while turning a neighbor read from "rebuild and sort
+// the node's map" into a slice read.
 type heartbeatService struct {
 	net      *Network
 	interval float64
@@ -166,7 +181,37 @@ type heartbeatService struct {
 	epochs  []uint64  // net.aliveEpoch each list was built under
 	fresh   []bool    // false forces a rebuild (new/expired-sender beacon)
 	scratch []int     // rebuild staging, for content-change detection
-	version uint64    // advances when a rebuild changes some list's content
+	version uint64    // advances on dirty beacons and list content changes
+	// due holds (expiry, id) for every rebuild with a finite expiry,
+	// earliest first; entries a later rebuild superseded are skipped when
+	// they surface.
+	due []listExpiry
+	// tracked turns on the bookkeeping below at the first Version call.
+	tracked bool
+	// dirty queues the nodes a beacon marked stale since the last Prepare;
+	// preparedEpoch is the alive epoch that Prepare last checked every
+	// list under.
+	dirty         []int32
+	preparedEpoch uint64
+	// The change log behind ChangedSince: changeIDs[i] is the node whose
+	// list changed at version changeVers[i] (the receiver of a dirty
+	// beacon, or a rebuild that changed content), in version order. It
+	// reaches back to changeBase; the Prepare after a liveness flip, or a
+	// full log, clears it.
+	changeVers []uint64
+	changeIDs  []int32
+	changeBase uint64
+}
+
+// maxChangeLog caps the change log; past it ChangedSince answers only for
+// versions read after the reset.
+const maxChangeLog = 1 << 16
+
+// listExpiry is one due-heap entry: id's cached list may lose an entry
+// after at.
+type listExpiry struct {
+	at float64
+	id int
 }
 
 func newHeartbeatService(net *Network, interval float64) *heartbeatService {
@@ -180,6 +225,8 @@ func newHeartbeatService(net *Network, interval float64) *heartbeatService {
 		expires:  make([]float64, net.N()),
 		epochs:   make([]uint64, net.N()),
 		fresh:    make([]bool, net.N()),
+		// No Prepare has checked any list yet.
+		preparedEpoch: math.MaxUint64,
 	}
 	rng := net.engine.NewStream()
 	for id := 0; id < net.N(); id++ {
@@ -216,7 +263,13 @@ func (h *heartbeatService) HandlePacket(n *Node, pkt *Packet, from int) {
 	old, had := h.lastSeen[id][from]
 	h.lastSeen[id][from] = now
 	if !had || now-old > h.timeout {
+		// The sender joins id's list: its content changes now.
+		if h.tracked && h.fresh[id] {
+			h.dirty = append(h.dirty, int32(id))
+		}
 		h.fresh[id] = false
+		h.version++
+		h.logChange(id)
 	}
 }
 
@@ -249,27 +302,146 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 	sort.Ints(h.scratch)
 	if !intsEqual(h.scratch, h.lists[id]) {
 		h.version++
+		h.logChange(id)
 	}
 	h.lists[id] = append(h.lists[id][:0], h.scratch...)
 	h.expires[id] = expires
 	h.epochs[id] = h.net.aliveEpoch
 	h.fresh[id] = true
+	if h.tracked && !math.IsInf(expires, 1) {
+		h.pushDue(listExpiry{at: expires, id: id})
+	}
 	return h.lists[id]
 }
 
-// Version implements NeighborProvider: heartbeat neighbor sets change only
-// through observed rebuilds (beacon membership) and liveness flips, so the
-// content-change counter plus the alive epoch covers both. Both terms only
-// grow, so the sum is monotone.
-func (h *heartbeatService) Version() uint64 { return h.version + h.net.aliveEpoch }
-
-// Prepare implements NeighborProvider.
-func (h *heartbeatService) Prepare() {
-	for id := 0; id < h.net.N(); id++ {
-		if h.net.alive[id] {
-			h.Neighbors(id)
+// Version implements NeighborProvider. A list changes through a dirty
+// beacon (counted when it arrives), a liveness flip (the alive epoch), or
+// an entry timing out. For the last, Version first rebuilds every live
+// list whose cached expiry has passed — the rebuild counts a content
+// change, and refreshes that kept every entry alive count nothing — so a
+// list nobody has re-read since its neighbor went quiet still advances the
+// counter. Both terms only grow, so the sum is monotone.
+func (h *heartbeatService) Version() uint64 {
+	if !h.tracked {
+		h.track()
+	}
+	now := h.net.engine.Now()
+	for len(h.due) > 0 && h.due[0].at < now {
+		id := h.popDue().id
+		if h.net.alive[id] && now > h.expires[id] {
+			h.rebuild(id, now)
 		}
 	}
+	return h.version + h.net.aliveEpoch
+}
+
+// ChangedSince implements NeighborProvider from the change log, which
+// cannot span a liveness flip: one since the last Prepare answers false.
+func (h *heartbeatService) ChangedSince(v uint64) ([]int32, bool) {
+	if v == h.Version() {
+		return nil, true
+	}
+	if h.preparedEpoch != h.net.aliveEpoch || v < h.changeBase {
+		return nil, false
+	}
+	i := sort.Search(len(h.changeVers), func(i int) bool { return h.changeVers[i] > v })
+	return h.changeIDs[i:], true
+}
+
+// track starts the bookkeeping that keeps Version exact — the due heap,
+// the change log, the dirty queue — at the first consumer call, so a run
+// nobody asks (AODV routing) pays nothing for it. Lists built so far enter
+// the due heap; the first Prepare re-reads every list and starts the log.
+func (h *heartbeatService) track() {
+	h.tracked = true
+	for id, fresh := range h.fresh {
+		if fresh && !math.IsInf(h.expires[id], 1) {
+			h.pushDue(listExpiry{at: h.expires[id], id: id})
+		}
+	}
+}
+
+// logChange records that id's list changed at the current version.
+func (h *heartbeatService) logChange(id int) {
+	if !h.tracked {
+		return
+	}
+	if len(h.changeIDs) == maxChangeLog {
+		h.resetChanges()
+		return
+	}
+	h.changeVers = append(h.changeVers, h.version+h.net.aliveEpoch)
+	h.changeIDs = append(h.changeIDs, int32(id))
+}
+
+// resetChanges empties the change log; it now reaches back to the current
+// version only.
+func (h *heartbeatService) resetChanges() {
+	h.changeVers, h.changeIDs = h.changeVers[:0], h.changeIDs[:0]
+	h.changeBase = h.version + h.net.aliveEpoch
+}
+
+// pushDue and popDue keep due a binary min-heap on (at, id).
+func (h *heartbeatService) pushDue(e listExpiry) {
+	h.due = append(h.due, e)
+	for i := len(h.due) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.due[i].before(h.due[p]) {
+			break
+		}
+		h.due[i], h.due[p] = h.due[p], h.due[i]
+		i = p
+	}
+}
+
+func (h *heartbeatService) popDue() listExpiry {
+	top := h.due[0]
+	last := len(h.due) - 1
+	h.due[0] = h.due[last]
+	h.due = h.due[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && h.due[l].before(h.due[m]) {
+			m = l
+		}
+		if r < last && h.due[r].before(h.due[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h.due[i], h.due[m] = h.due[m], h.due[i]
+		i = m
+	}
+	return top
+}
+
+func (a listExpiry) before(b listExpiry) bool {
+	//pqlint:allow floatequal(heap tie-break: equal expiry times order by id)
+	return a.at < b.at || (a.at == b.at && a.id < b.id)
+}
+
+// Prepare implements NeighborProvider. A list can only be stale through a
+// dirty beacon (queued in dirty), an expiry (Version rebuilds those), or a
+// liveness flip since the last Prepare (then every list is checked, and
+// the change log restarts).
+func (h *heartbeatService) Prepare() {
+	h.Version()
+	if h.preparedEpoch != h.net.aliveEpoch {
+		h.preparedEpoch = h.net.aliveEpoch
+		for id := 0; id < h.net.N(); id++ {
+			if h.net.alive[id] {
+				h.Neighbors(id)
+			}
+		}
+		h.resetChanges()
+	}
+	for _, id := range h.dirty {
+		if h.net.alive[id] {
+			h.Neighbors(int(id))
+		}
+	}
+	h.dirty = h.dirty[:0]
 }
 
 // Frozen implements NeighborProvider.

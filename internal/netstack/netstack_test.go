@@ -202,6 +202,71 @@ func TestHeartbeatNeighbors(t *testing.T) {
 	}
 }
 
+// TestHeartbeatVersionExact pins the exact-version contract: after a
+// Prepare, the version moves when a link silently expires or a beacon adds
+// a neighbor — with nobody re-reading the lists in between — and
+// ChangedSince names the node whose list changed.
+func TestHeartbeatVersionExact(t *testing.T) {
+	e := sim.NewEngine(1)
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}}
+	net := New(e, Config{
+		N: 3, Side: 500, Mobility: mobility.NewStatic(pts),
+		Stack: StackIdeal, Neighbors: NeighborsHeartbeat, HeartbeatSecs: 1,
+	})
+	e.Run(5)
+	net.PrepareNeighbors()
+	v := net.NeighborVersion()
+	if got := net.FrozenNeighbors(1); len(got) != 2 {
+		t.Fatalf("neighbors of 1 = %v, want [0 2]", got)
+	}
+	// Node 1 stops hearing node 0: the entry expires 2.2 beacon periods
+	// after the last beacon got through.
+	mute := true
+	net.SetLossFunc(func(from, to int, _ *Packet) bool { return mute && from == 0 && to == 1 })
+	e.Run(6)
+	if net.NeighborVersion() != v {
+		t.Fatal("version moved before any list changed")
+	}
+	e.Run(9)
+	v2 := net.NeighborVersion()
+	if v2 == v {
+		t.Fatal("silent expiry did not move the version")
+	}
+	if ids, ok := net.NeighborChangesSince(v); !ok || !containsID(ids, 1) {
+		t.Fatalf("ChangedSince(%d) = %v, %v; want node 1 listed", v, ids, ok)
+	}
+	net.PrepareNeighbors()
+	v2 = net.NeighborVersion()
+	if got := net.FrozenNeighbors(1); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after expiry, neighbors of 1 = %v, want [2]", got)
+	}
+	// The next beacon from 0 re-adds it.
+	mute = false
+	e.Run(11)
+	if net.NeighborVersion() == v2 {
+		t.Fatal("a beacon from a new neighbor did not move the version")
+	}
+	if ids, ok := net.NeighborChangesSince(v2); !ok || !containsID(ids, 1) {
+		t.Fatalf("ChangedSince(%d) = %v, %v; want node 1 listed", v2, ids, ok)
+	}
+	// A liveness flip is global: the log cannot enumerate it.
+	net.PrepareNeighbors()
+	v3 := net.NeighborVersion()
+	net.Fail(2)
+	if _, ok := net.NeighborChangesSince(v3); ok {
+		t.Fatal("ChangedSince spanned a liveness flip")
+	}
+}
+
+func containsID(ids []int32, id int32) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
 func TestHeartbeatTracksMobility(t *testing.T) {
 	e := sim.NewEngine(3)
 	rng := rand.New(rand.NewSource(11))
