@@ -27,7 +27,9 @@ type RouteCacheConfig struct {
 	// bound.
 	TTLSecs float64
 	// MaxTrees caps live distance fields; the oldest installed field is
-	// evicted first (deterministic insertion order). 0 defaults to 1024.
+	// evicted first (deterministic insertion order). A prefetch batch
+	// builds into spare fields and evicts back down to the cap when it
+	// installs them. 0 defaults to 1024.
 	MaxTrees int
 	// Shards assigns destinations to build shards for PrefetchRoutes; nil
 	// falls back to round-robin by id. Spatial maps keep one shard's BFS
@@ -35,28 +37,17 @@ type RouteCacheConfig struct {
 	Shards *sim.ShardMap
 }
 
-// noPath marks a node with no path to the field's destination; allExact
-// is the exact bound of a freshly built field, which covers noPath too.
-const (
-	noPath   = math.MaxUint16
-	allExact = noPath + 1
-)
+// noPath marks a node with no path to the field's destination.
+const noPath = math.MaxUint16
 
 // distField is a per-destination hop-distance field: dist[v] is the number
 // of hops from v to dst, or noPath, on the neighbor graph of version
-// version — for labels below exact. A label at or above exact promises
-// only that the true distance is at least exact. A build makes every label
-// exact; revalidation may lower the bound (see revalidate). built is the
-// build time, for the optional age bound.
+// version. built is the build time, for the optional age bound.
 type distField struct {
 	dst     int
 	dist    []uint16
-	exact   int
 	built   float64
 	version uint64
-	// stopSrc, when not -1, lets a build stop once it settles the query
-	// for stopSrc within stopTTL hops (0 = unbounded).
-	stopSrc, stopTTL int
 }
 
 // routeMemo answers next-hop queries — unbounded and TTL-scoped — from
@@ -66,12 +57,10 @@ type distField struct {
 // grouped by first hop in ascending id order and so always reaches dst
 // first through the lowest-id first hop among all shortest paths. A field
 // is valid while the neighbor version is unchanged (and within the
-// optional age bound). Once the version moves, a field is revalidated
-// against the provider's change log, which may lower its exact bound, and
-// rebuilt — serially on demand, or in bulk in one sharded parallel phase
-// by PrefetchRoutes — only when that cannot settle a query. Every label a
-// query reads equals a fresh build's, so when fields are built never
-// changes an answer: the memo is pure (DESIGN.md §15).
+// optional age bound); a missing or stale one is rebuilt in full, serially
+// on demand or in bulk in one sharded parallel phase by PrefetchRoutes.
+// Every field a query reads equals a fresh build, so when fields are built
+// never changes an answer: the memo is pure (DESIGN.md §15).
 type routeMemo struct {
 	o         *Oracle
 	ttl       float64
@@ -80,12 +69,15 @@ type routeMemo struct {
 
 	// fields holds the current field of each destination (nil: none).
 	// order lists their destinations, oldest install first (head is the
-	// logical front); a rebuilt field keeps its place. free holds the
-	// buffers of evicted fields for reuse.
+	// logical front); a replaced field's successor keeps its place. free
+	// holds evicted and replaced fields for reuse. A field is only ever
+	// built while it is on neither fields nor free, so no field a query
+	// reads, and none that an install frees, shares a buffer with one
+	// being built.
 	fields []*distField
 	order  []int32
 	head   int
-	free   [][]uint16
+	free   []*distField
 
 	// The transposed neighbor snapshot in CSR form: the live nodes whose
 	// lists contain v are inAdj[inStart[v]:inStart[v+1]]. Built serially
@@ -141,13 +133,13 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 }
 
 // PrefetchRoutes implements RoutePrefetcher: ensure a valid field exists
-// for every alive destination in dsts, building all missing ones in one
-// ShardedEval phase over the frozen neighbor snapshot.
+// for every alive destination in dsts, building all missing or stale ones
+// in one ShardedEval phase over the frozen neighbor snapshot.
 func (o *Oracle) PrefetchRoutes(origin int, dsts []int) {
-	o.cache.prefetch(origin, dsts)
+	o.cache.prefetch(dsts)
 }
 
-func (c *routeMemo) prefetch(origin int, dsts []int) {
+func (c *routeMemo) prefetch(dsts []int) {
 	net := c.o.net
 	net.PrepareNeighbors()
 	now, ver := c.o.engine.Now(), net.NeighborVersion()
@@ -167,10 +159,10 @@ func (c *routeMemo) prefetch(origin int, dsts []int) {
 		if !net.Alive(dst) {
 			continue
 		}
-		if f := c.fields[dst]; f != nil && (c.valid(f, now, ver) || c.revalidate(f, now, ver)) && f.knows(origin) {
+		if f := c.fields[dst]; f != nil && c.valid(f, now, ver) {
 			continue
 		}
-		c.pending = append(c.pending, c.claim(dst, now, ver, origin, 0))
+		c.pending = append(c.pending, c.claim(dst, now, ver))
 	}
 	if len(c.pending) == 0 {
 		return
@@ -195,24 +187,18 @@ func (c *routeMemo) eval(i int) {
 	c.build(f, c.sm.Shard(f.dst))
 }
 
-// claim returns the field to (re)build for dst, stamped with the snapshot
-// it will hold: dst's current (stale) field, rebuilt in place, or a fresh
-// one on a pooled buffer. A fresh field is built complete; a stale one only
-// as deep as the query for src within maxTTL needs — a graph that changed
-// under a field is likely to change again before far sources ask.
-func (c *routeMemo) claim(dst int, now float64, ver uint64, src, maxTTL int) *distField {
-	f := c.fields[dst]
-	if f == nil {
-		f = &distField{dst: dst}
-		if k := len(c.free); k > 0 {
-			f.dist = c.free[k-1]
-			c.free = c.free[:k-1]
-		} else {
-			f.dist = make([]uint16, c.o.net.N())
-		}
-		src = -1
+// claim returns a spare field for dst, stamped with the snapshot it will
+// hold: a pooled one, or a new one. dst's current field, if any, stays
+// readable until install replaces it.
+func (c *routeMemo) claim(dst int, now float64, ver uint64) *distField {
+	var f *distField
+	if k := len(c.free); k > 0 {
+		f = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		f = &distField{dist: make([]uint16, c.o.net.N())}
 	}
-	f.built, f.version, f.stopSrc, f.stopTTL = now, ver, src, maxTTL
+	f.dst, f.built, f.version = dst, now, ver
 	return f
 }
 
@@ -263,26 +249,19 @@ func (c *routeMemo) transpose(ver uint64) {
 // build fills f.dist by BFS from f.dst over the transposed snapshot: the
 // in-neighbors of a node at distance d are at most d+1 hops from dst, and
 // the first visit is the shortest. Dead nodes own no lists, so they get no
-// distance (besides a destination, which callers keep alive). When the
-// first node of level L is dequeued, every node within L hops is labelled
-// and none farther; a bounded build stops there, with exact bound L+1,
-// once that settles its query. uint16 labels cap paths at 65534 hops,
-// which only a chain of more than 65535 nodes could exceed; the
-// simulator's geometric graphs are a few hundred hops across at 100k.
+// distance (besides a destination, which callers keep alive). uint16
+// labels cap paths at 65534 hops, which only a chain of more than 65535
+// nodes could exceed; the simulator's geometric graphs are a few hundred
+// hops across at 100k.
 func (c *routeMemo) build(f *distField, shard int) {
 	dist := f.dist
 	for i := range dist {
 		dist[i] = noPath
 	}
 	dist[f.dst] = 0
-	f.exact = allExact //pqlint:parshared(per-item field, pre-assigned serially before the phase)
 	queue := append(c.queues[shard][:0], int32(f.dst))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		if level := int(dist[u]); f.stopSrc >= 0 && (int(dist[f.stopSrc]) <= level || (f.stopTTL > 0 && level >= f.stopTTL)) {
-			f.exact = level + 1 //pqlint:parshared(per-item field)
-			break
-		}
 		d := dist[u] + 1
 		if d == noPath {
 			panic("aodv: route memo hop distance exceeds 65534")
@@ -297,17 +276,20 @@ func (c *routeMemo) build(f *distField, shard int) {
 	c.queues[shard] = queue //pqlint:parshared(per-shard BFS queue; shard ids never share an engine bucket)
 }
 
-// install makes a built field current for its destination, evicting the
-// oldest past the cap. Runs serially (after the phase or on the serial
-// miss path); a field rebuilt in place is already current.
+// install makes a built field current for its destination. A field
+// replacing a stale one takes its place in the eviction order; a new one
+// goes last, evicting the oldest past the cap. Runs serially (after the
+// phase or on the serial miss path).
 func (c *routeMemo) install(f *distField) {
-	if c.fields[f.dst] == f {
+	if old := c.fields[f.dst]; old != nil {
+		c.fields[f.dst] = f
+		c.free = append(c.free, old)
 		return
 	}
 	for len(c.order)-c.head >= c.maxFields {
 		old := c.fields[c.order[c.head]]
 		c.fields[old.dst] = nil
-		c.free = append(c.free, old.dist)
+		c.free = append(c.free, old)
 		c.head++
 	}
 	if c.head > len(c.order)/2 && c.head > 64 {
@@ -319,62 +301,7 @@ func (c *routeMemo) install(f *distField) {
 }
 
 func (c *routeMemo) valid(f *distField, now float64, ver uint64) bool {
-	return f.version == ver && c.young(f, now)
-}
-
-// knows reports whether f's label for src is exact.
-func (f *distField) knows(src int) bool { return int(f.dist[src]) < f.exact }
-
-func (c *routeMemo) young(f *distField, now float64) bool {
-	return c.ttl <= 0 || now-f.built <= c.ttl
-}
-
-// revalidate re-stamps a stale field with version ver (read right after a
-// PrepareNeighbors), checking only the nodes whose lists changed since it
-// was stamped, and lowers its exact bound to what the changes leave
-// exact. Reports false (rebuild) when the provider cannot list the
-// changes, when there are too many to beat a rebuild, or when the field
-// is past its age bound.
-//
-// Why it holds. Let m be the exact bound and read every label as
-// min(label, m). The true distances, read the same way, are the unique
-// labelling with dst at 0 in which every other live node's label is
-// min(m, 1 + its neighbors' least) — the least neighbor traces a path of
-// that length, and along a shortest path labels rise by at most one per
-// hop. Nodes whose lists did not change keep their neighbors and
-// satisfy the rule as before. A changed node u with label a whose new
-// neighbors give b = 1 + least satisfies it if a = b, and at any bound
-// m ≤ min(a, b) otherwise (both sides read as m). So lowering m to the
-// least such min(a, b) restores the rule everywhere, and the labels below
-// it are exact. Dead nodes hold no lists and are never read.
-func (c *routeMemo) revalidate(f *distField, now float64, ver uint64) bool {
-	if !c.young(f, now) {
-		return false
-	}
-	net := c.o.net
-	ids, ok := net.NeighborChangesSince(f.version)
-	if !ok || len(ids) > len(f.dist)/4 {
-		return false
-	}
-	for _, u := range ids {
-		if int(u) == f.dst || !net.Alive(int(u)) {
-			continue
-		}
-		least := uint16(noPath)
-		for _, w := range net.FrozenNeighbors(int(u)) {
-			if f.dist[w] < least {
-				least = f.dist[w]
-			}
-		}
-		if least != noPath {
-			least++
-		}
-		if a := f.dist[u]; a != least && int(min(a, least)) < f.exact {
-			f.exact = int(min(a, least))
-		}
-	}
-	f.version = ver
-	return true
+	return f.version == ver && (c.ttl <= 0 || now-f.built <= c.ttl)
 }
 
 // nextHop answers a query from dst's field, building it serially when it
@@ -389,50 +316,32 @@ func (c *routeMemo) nextHop(src, dst, maxTTL int) (int, bool) {
 	f := c.fields[dst]
 	if f == nil || !c.valid(f, now, ver) {
 		// Same snapshot discipline as prefetch: prepare (which may advance
-		// the version), then revalidate or build over the frozen lists.
+		// the version), then build over the frozen lists.
 		net.PrepareNeighbors()
 		ver = net.NeighborVersion()
-		if f != nil && !c.valid(f, now, ver) && !c.revalidate(f, now, ver) {
-			f = nil
-		}
+		f = c.claim(dst, now, ver)
+		c.transpose(ver)
+		c.build(f, c.sm.Shard(dst))
+		c.install(f)
 	}
-	if f != nil {
-		if hop, ok, known := c.answer(f, src, maxTTL); known {
-			return hop, ok
-		}
-	}
-	f = c.claim(dst, now, ver, src, maxTTL)
-	c.transpose(ver)
-	c.build(f, c.sm.Shard(dst))
-	c.install(f)
-	hop, ok, _ := c.answer(f, src, maxTTL)
-	return hop, ok
+	return c.answer(f, src, maxTTL)
 }
 
 // answer reads the next hop off a field valid at the current version: dst
 // is within maxTTL hops iff dist[src] ≤ maxTTL, and the hop is the first
 // neighbor one step closer. src's frozen list is the one the field holds,
-// since the version has not moved. known is false when src's label is at
-// or above the exact bound and that bound cannot settle the query.
+// since the version has not moved.
 //
 //pqlint:noalloc
-func (c *routeMemo) answer(f *distField, src, maxTTL int) (hop int, ok, known bool) {
+func (c *routeMemo) answer(f *distField, src, maxTTL int) (int, bool) {
 	d := int(f.dist[src])
-	if d >= f.exact {
-		// The true distance is at least f.exact: beyond a smaller scope,
-		// unknown otherwise.
-		return 0, false, maxTTL > 0 && maxTTL < f.exact
-	}
-	if d == 0 {
-		return src, true, true
-	}
 	if d == noPath || (maxTTL > 0 && d > maxTTL) {
-		return 0, false, true
+		return 0, false
 	}
 	for _, nb := range c.o.net.FrozenNeighbors(src) {
 		if int(f.dist[nb]) == d-1 {
-			return nb, true, true
+			return nb, true
 		}
 	}
-	return 0, false, true
+	return 0, false
 }

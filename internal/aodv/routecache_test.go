@@ -105,15 +105,23 @@ func newMemoWorld(seed int64, cfg netstack.Config, mobile bool) memoWorld {
 }
 
 // compareMemo checks every (src, dst, maxTTL ∈ {0,1,2,3,diameter}) at the
-// worlds' current instant, in an order drawn from rng — which fields exist,
-// how deep, and how stale depends on the order of earlier queries —
+// worlds' current instant, in an order drawn from rng — which fields exist
+// and how stale they are depends on the order of earlier queries —
 // prefetching a few destinations first when asked (a prefetch may build
-// fields, never change an answer).
+// fields, never change an answer). The prefetch mixes destinations that
+// have no field with the ones that hold a (possibly stale) field, new
+// ones first, so that under a small field cap one batch both replaces
+// and evicts.
 func compareMemo(t *testing.T, label string, memo, ref memoWorld, rng *rand.Rand, prefetch bool) {
 	t.Helper()
 	n := ref.net.N()
 	if prefetch {
-		memo.o.PrefetchRoutes(rng.Intn(n), []int{0, n / 3, n / 2, n - 1, n / 3})
+		dsts := []int{0, n / 3}
+		for _, dst := range memo.o.cache.order[memo.o.cache.head:] {
+			dsts = append(dsts, int(dst))
+		}
+		dsts = append(dsts, n/2, n-1, n/3)
+		memo.o.PrefetchRoutes(rng.Intn(n), dsts)
 	}
 	ttls := []int{0, 1, 2, 3, diameter(ref.net)}
 	queries := rng.Perm(n * n * len(ttls))
@@ -131,12 +139,15 @@ func compareMemo(t *testing.T, label string, memo, ref memoWorld, rng *rand.Rand
 // TestRouteMemoMatchesBFS pins the route memo to the forward BFS it
 // replaced: the same (hop, ok) for every source, destination and TTL, on
 // symmetric oracle-provider graphs, asymmetric heartbeat graphs (receiver
-// loss), and across churn flips and mobile timestamps between queries.
+// loss), and across churn flips and mobile timestamps between queries —
+// also with a field cap far below the destination count, where every
+// prefetch batch replaces stale fields and evicts others.
 func TestRouteMemoMatchesBFS(t *testing.T) {
 	type scenario struct {
-		name   string
-		cfg    netstack.Config
-		mobile bool
+		name     string
+		cfg      netstack.Config
+		mobile   bool
+		maxTrees int
 	}
 	heartbeat := func(loss float64) netstack.Config {
 		return netstack.Config{
@@ -149,6 +160,8 @@ func TestRouteMemoMatchesBFS(t *testing.T) {
 		{name: "oracle-mobile", cfg: netstack.Config{N: 24, Stack: netstack.StackIdeal}, mobile: true},
 		{name: "heartbeat-lossy", cfg: heartbeat(0.3)},
 		{name: "heartbeat-mobile", cfg: heartbeat(0.1), mobile: true},
+		{name: "heartbeat-capped", cfg: heartbeat(0.3), maxTrees: 2},
+		{name: "oracle-mobile-capped", cfg: netstack.Config{N: 24, Stack: netstack.StackIdeal}, mobile: true, maxTrees: 3},
 	}
 	seeds, steps := int64(2), 30
 	if testing.Short() {
@@ -158,12 +171,15 @@ func TestRouteMemoMatchesBFS(t *testing.T) {
 		for seed := int64(1); seed <= seeds; seed++ {
 			memo := newMemoWorld(seed, sc.cfg, sc.mobile)
 			ref := newMemoWorld(seed, sc.cfg, sc.mobile)
+			if sc.maxTrees > 0 {
+				memo.o.EnableRouteCache(RouteCacheConfig{MaxTrees: sc.maxTrees})
+			}
 			rng := rand.New(rand.NewSource(seed))
 			now := 3.0
 			for step := 0; step < steps; step++ {
 				memo.e.Run(now)
 				ref.e.Run(now)
-				compareMemo(t, sc.name, memo, ref, rng, step%3 == 1)
+				compareMemo(t, sc.name, memo, ref, rng, step%3 == 1 || sc.maxTrees > 0)
 				if rng.Intn(6) == 0 {
 					// Flip a node's liveness between two queries at the
 					// same instant.

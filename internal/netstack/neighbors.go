@@ -23,13 +23,6 @@ type NeighborProvider interface {
 	// since. Consumers that memoize derived state (the oracle router's
 	// distance fields) key validity on it alone.
 	Version() uint64
-	// ChangedSince lists the nodes whose lists may have changed since the
-	// provider's Version read v, taken right after a Prepare — possibly
-	// with repeats — and reports whether it could: false when a change
-	// since v was global (a liveness flip, a mobile time step) or older
-	// than the provider remembers. The slice is the provider's own and
-	// valid until its next call.
-	ChangedSince(v uint64) ([]int32, bool)
 	// Prepare revalidates every live node's cached list at the current
 	// instant, so that a subsequent parallel phase within the same event
 	// can read them via Frozen without mutation.
@@ -125,12 +118,6 @@ func (o *oracleNeighbors) Version() uint64 {
 	return o.version
 }
 
-// ChangedSince implements NeighborProvider: every version step of a
-// geometric provider is global.
-func (o *oracleNeighbors) ChangedSince(v uint64) ([]int32, bool) {
-	return nil, v == o.Version()
-}
-
 // Prepare implements NeighborProvider: revalidate every live node's list.
 func (o *oracleNeighbors) Prepare() {
 	o.refresh()
@@ -184,28 +171,9 @@ type heartbeatService struct {
 	version uint64    // advances on dirty beacons and list content changes
 	// due holds (expiry, id) for every rebuild with a finite expiry,
 	// earliest first; entries a later rebuild superseded are skipped when
-	// they surface.
+	// they surface, or dropped when the heap is compacted.
 	due []listExpiry
-	// tracked turns on the bookkeeping below at the first Version call.
-	tracked bool
-	// dirty queues the nodes a beacon marked stale since the last Prepare;
-	// preparedEpoch is the alive epoch that Prepare last checked every
-	// list under.
-	dirty         []int32
-	preparedEpoch uint64
-	// The change log behind ChangedSince: changeIDs[i] is the node whose
-	// list changed at version changeVers[i] (the receiver of a dirty
-	// beacon, or a rebuild that changed content), in version order. It
-	// reaches back to changeBase; the Prepare after a liveness flip, or a
-	// full log, clears it.
-	changeVers []uint64
-	changeIDs  []int32
-	changeBase uint64
 }
-
-// maxChangeLog caps the change log; past it ChangedSince answers only for
-// versions read after the reset.
-const maxChangeLog = 1 << 16
 
 // listExpiry is one due-heap entry: id's cached list may lose an entry
 // after at.
@@ -225,8 +193,6 @@ func newHeartbeatService(net *Network, interval float64) *heartbeatService {
 		expires:  make([]float64, net.N()),
 		epochs:   make([]uint64, net.N()),
 		fresh:    make([]bool, net.N()),
-		// No Prepare has checked any list yet.
-		preparedEpoch: math.MaxUint64,
 	}
 	rng := net.engine.NewStream()
 	for id := 0; id < net.N(); id++ {
@@ -264,12 +230,8 @@ func (h *heartbeatService) HandlePacket(n *Node, pkt *Packet, from int) {
 	h.lastSeen[id][from] = now
 	if !had || now-old > h.timeout {
 		// The sender joins id's list: its content changes now.
-		if h.tracked && h.fresh[id] {
-			h.dirty = append(h.dirty, int32(id))
-		}
 		h.fresh[id] = false
 		h.version++
-		h.logChange(id)
 	}
 }
 
@@ -302,13 +264,12 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 	sort.Ints(h.scratch)
 	if !intsEqual(h.scratch, h.lists[id]) {
 		h.version++
-		h.logChange(id)
 	}
 	h.lists[id] = append(h.lists[id][:0], h.scratch...)
 	h.expires[id] = expires
 	h.epochs[id] = h.net.aliveEpoch
 	h.fresh[id] = true
-	if h.tracked && !math.IsInf(expires, 1) {
+	if !math.IsInf(expires, 1) {
 		h.pushDue(listExpiry{at: expires, id: id})
 	}
 	return h.lists[id]
@@ -322,9 +283,6 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 // list nobody has re-read since its neighbor went quiet still advances the
 // counter. Both terms only grow, so the sum is monotone.
 func (h *heartbeatService) Version() uint64 {
-	if !h.tracked {
-		h.track()
-	}
 	now := h.net.engine.Now()
 	for len(h.due) > 0 && h.due[0].at < now {
 		id := h.popDue().id
@@ -335,54 +293,14 @@ func (h *heartbeatService) Version() uint64 {
 	return h.version + h.net.aliveEpoch
 }
 
-// ChangedSince implements NeighborProvider from the change log, which
-// cannot span a liveness flip: one since the last Prepare answers false.
-func (h *heartbeatService) ChangedSince(v uint64) ([]int32, bool) {
-	if v == h.Version() {
-		return nil, true
-	}
-	if h.preparedEpoch != h.net.aliveEpoch || v < h.changeBase {
-		return nil, false
-	}
-	i := sort.Search(len(h.changeVers), func(i int) bool { return h.changeVers[i] > v })
-	return h.changeIDs[i:], true
-}
-
-// track starts the bookkeeping that keeps Version exact — the due heap,
-// the change log, the dirty queue — at the first consumer call, so a run
-// nobody asks (AODV routing) pays nothing for it. Lists built so far enter
-// the due heap; the first Prepare re-reads every list and starts the log.
-func (h *heartbeatService) track() {
-	h.tracked = true
-	for id, fresh := range h.fresh {
-		if fresh && !math.IsInf(h.expires[id], 1) {
-			h.pushDue(listExpiry{at: h.expires[id], id: id})
-		}
-	}
-}
-
-// logChange records that id's list changed at the current version.
-func (h *heartbeatService) logChange(id int) {
-	if !h.tracked {
-		return
-	}
-	if len(h.changeIDs) == maxChangeLog {
-		h.resetChanges()
-		return
-	}
-	h.changeVers = append(h.changeVers, h.version+h.net.aliveEpoch)
-	h.changeIDs = append(h.changeIDs, int32(id))
-}
-
-// resetChanges empties the change log; it now reaches back to the current
-// version only.
-func (h *heartbeatService) resetChanges() {
-	h.changeVers, h.changeIDs = h.changeVers[:0], h.changeIDs[:0]
-	h.changeBase = h.version + h.net.aliveEpoch
-}
-
-// pushDue and popDue keep due a binary min-heap on (at, id).
+// pushDue and popDue keep due a binary min-heap on (at, id). Only Version
+// pops, so a run that never asks for it (AODV routing) would grow the heap
+// by one entry per rebuild; past twice the node count pushDue compacts it
+// to the entries that can still matter.
 func (h *heartbeatService) pushDue(e listExpiry) {
+	if len(h.due) > 2*len(h.lists)+64 {
+		h.compactDue()
+	}
 	h.due = append(h.due, e)
 	for i := len(h.due) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -399,21 +317,40 @@ func (h *heartbeatService) popDue() listExpiry {
 	last := len(h.due) - 1
 	h.due[0] = h.due[last]
 	h.due = h.due[:last]
-	for i := 0; ; {
+	h.siftDown(0)
+	return top
+}
+
+func (h *heartbeatService) siftDown(i int) {
+	for n := len(h.due); ; {
 		m, l, r := i, 2*i+1, 2*i+2
-		if l < last && h.due[l].before(h.due[m]) {
+		if l < n && h.due[l].before(h.due[m]) {
 			m = l
 		}
-		if r < last && h.due[r].before(h.due[m]) {
+		if r < n && h.due[r].before(h.due[m]) {
 			m = r
 		}
 		if m == i {
-			break
+			return
 		}
 		h.due[i], h.due[m] = h.due[m], h.due[i]
 		i = m
 	}
-	return top
+}
+
+// compactDue rebuilds the heap with one entry per current list. A list
+// that is not current (a dirty beacon, or a liveness flip since its build)
+// has already moved Version, and its next rebuild pushes a fresh entry.
+func (h *heartbeatService) compactDue() {
+	h.due = h.due[:0]
+	for id, fresh := range h.fresh {
+		if fresh && h.epochs[id] == h.net.aliveEpoch && !math.IsInf(h.expires[id], 1) {
+			h.due = append(h.due, listExpiry{at: h.expires[id], id: id})
+		}
+	}
+	for i := len(h.due)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
 }
 
 func (a listExpiry) before(b listExpiry) bool {
@@ -421,27 +358,13 @@ func (a listExpiry) before(b listExpiry) bool {
 	return a.at < b.at || (a.at == b.at && a.id < b.id)
 }
 
-// Prepare implements NeighborProvider. A list can only be stale through a
-// dirty beacon (queued in dirty), an expiry (Version rebuilds those), or a
-// liveness flip since the last Prepare (then every list is checked, and
-// the change log restarts).
+// Prepare implements NeighborProvider.
 func (h *heartbeatService) Prepare() {
-	h.Version()
-	if h.preparedEpoch != h.net.aliveEpoch {
-		h.preparedEpoch = h.net.aliveEpoch
-		for id := 0; id < h.net.N(); id++ {
-			if h.net.alive[id] {
-				h.Neighbors(id)
-			}
-		}
-		h.resetChanges()
-	}
-	for _, id := range h.dirty {
+	for id := 0; id < h.net.N(); id++ {
 		if h.net.alive[id] {
-			h.Neighbors(int(id))
+			h.Neighbors(id)
 		}
 	}
-	h.dirty = h.dirty[:0]
 }
 
 // Frozen implements NeighborProvider.

@@ -566,13 +566,6 @@ func (net *Network) Neighbors(id int) []int { return net.neighbors.Neighbors(id)
 // fields) key on it.
 func (net *Network) NeighborVersion() uint64 { return net.neighbors.Version() }
 
-// NeighborChangesSince lists the nodes whose neighbor lists may have
-// changed since NeighborVersion read v right after a PrepareNeighbors, or
-// reports false when it cannot (see NeighborProvider.ChangedSince).
-func (net *Network) NeighborChangesSince(v uint64) ([]int32, bool) {
-	return net.neighbors.ChangedSince(v)
-}
-
 // PrepareNeighbors revalidates every live node's neighbor list so that a
 // sharded phase within the same event can read the frozen lists
 // concurrently (DESIGN.md §15).
