@@ -17,13 +17,13 @@
 // with the cell-noise interference model, continuous churn and a fault
 // schedule live, invariant checkers on, and a go-bench-format metrics line
 // (wall clock, allocations, peak heap) on stdout for cmd/benchjson. Tune it
-// with -megan/-megashort/-workers. It is deliberately not part of "all".
+// with -megan/-megashort/-shards. It is deliberately not part of "all".
 //
 // `pqexp giga` is the 100k-node tier (DESIGN.md §15): the mega scenario with
 // oracle neighbor discovery, draw-on-demand membership views, and the
-// oracle router's route memo (-shards controls its build parallelism, with
-// bit-identical results at any width). Scale it down with -gigan for smoke
-// runs; like mega, it is not part of "all".
+// oracle router's route memo; -shards widens its prefetch and the PHY
+// phase, with bit-identical results at any width. Scale it down with
+// -gigan for smoke runs; like mega, it is not part of "all".
 //
 // `pqexp load` runs the open-loop workload figure: Poisson and bursty MMPP
 // arrivals with Zipf/uniform keys against every strategy mix, reporting
@@ -74,12 +74,10 @@ func run(args []string) error {
 	bigN := fs.Int("bign", 0, "override the large-network size")
 	seed := fs.Int64("seed", 1, "base random seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep worker-pool size (independent runs in flight at once)")
-	workers := fs.Int("workers", 0, "per-engine parallel-phase width for PHY evaluation (0 = serial; results identical at any width)")
-	shards := fs.Int("shards", 0, "per-engine sharded-phase width for bulk route builds (0 = serial; results identical at any width)")
+	shards := fs.Int("shards", 0, "per-engine parallel-phase width for bulk route builds and PHY evaluation (0 = serial; results identical at any width)")
 	megaN := fs.Int("megan", 10000, "node count for the mega scale scenario")
 	gigaN := fs.Int("gigan", 100000, "node count for the giga scale scenario")
 	megaShort := fs.Bool("megashort", false, "shrink the mega/giga scenario workloads for smoke tests")
-	megaDense := fs.Bool("megadense", false, "mega/giga: opt out of lazy membership (the A/B baseline for the scale posture)")
 	loadShort := fs.Bool("loadshort", false, "shrink the load figure's node count and duration for smoke tests")
 	adaptShort := fs.Bool("adaptshort", false, "shrink the adapt figure's duration for smoke tests")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
@@ -139,7 +137,6 @@ func run(args []string) error {
 		p.BigN = *bigN
 	}
 	p.Parallel = *parallel
-	p.Workers = *workers
 	p.Shards = *shards
 	effective := p.Parallel
 	if effective < 1 {
@@ -153,16 +150,16 @@ func run(args []string) error {
 	}
 	for _, f := range figs {
 		if strings.EqualFold(f, "mega") {
-			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Shards: *shards, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "giga") {
-			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Shards: *shards, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "load") {
 			if err := runLoad(experiment.LoadConfig{
-				Seed: *seed, Parallel: *parallel, Workers: *workers,
+				Seed: *seed, Parallel: *parallel, Shards: *shards,
 				Horizon: loadHorizon(*loadShort),
 			}); err != nil {
 				return err
@@ -171,7 +168,7 @@ func run(args []string) error {
 		}
 		if strings.EqualFold(f, "adapt") {
 			if err := runAdapt(experiment.AdaptFigConfig{
-				Seeds: *seeds, Seed: *seed, Parallel: *parallel, Workers: *workers,
+				Seeds: *seeds, Seed: *seed, Parallel: *parallel, Shards: *shards,
 				Horizon: adaptHorizon(*adaptShort),
 			}); err != nil {
 				return err
@@ -224,7 +221,7 @@ func adaptHorizon(short bool) float64 {
 }
 
 // runLoad executes the open-loop load figure and prints the data table
-// (bit-identical at any -parallel/-workers) followed by one go-bench
+// (bit-identical at any -parallel/-shards) followed by one go-bench
 // metrics line per strategy mix for cmd/benchjson. Any invariant violation
 // — the checkers run armed, including the pending-op drain assertion — is
 // an error, making `make load-smoke` a CI gate and not just a report.
@@ -245,7 +242,7 @@ func runLoad(lc experiment.LoadConfig) error {
 
 // runAdapt executes the adaptive-sizing chaos figure and prints one
 // trajectory table per drift shape (bit-identical at any
-// -parallel/-workers) followed by a go-bench metrics line per drift for
+// -parallel/-shards) followed by a go-bench metrics line per drift for
 // cmd/benchjson. Invariant violations or leaked ops — the checkers run
 // armed, including the controller's resize-bounds watch — are an error, so
 // `make adapt-smoke` gates CI instead of just reporting.

@@ -38,7 +38,7 @@ import (
 // resize-bounds watch). The stack is ideal links + oracle routing so the
 // figure measures the quorum layer, not route discovery. All randomness
 // comes from engine streams: the data tables are bit-identical at any
-// -parallel / -workers setting; wall clock appears only in bench lines.
+// -parallel / -shards setting; wall clock appears only in bench lines.
 
 // AdaptFigConfig sizes the adapt figure. Zero values take defaults.
 type AdaptFigConfig struct {
@@ -49,8 +49,8 @@ type AdaptFigConfig struct {
 	Seed int64
 	// Parallel is the worker-pool width across cells (0 = all cores).
 	Parallel int
-	// Workers is the per-engine parallel-phase width (0 = serial).
-	Workers int
+	// Shards is the per-engine parallel-phase width (0 = serial).
+	Shards int
 	// DurationSecs is the measured span per run (default 600).
 	DurationSecs float64
 	// BucketSecs is the time-series resolution (default 30).
@@ -253,7 +253,7 @@ func (r AdaptDriftResult) Table() Table {
 
 // RunAdapt executes the full figure: every (drift, variant, seed) cell on
 // a pool of Parallel workers, merged per (drift, variant) in index order so
-// the output is bit-identical at any Parallel / Workers setting.
+// the output is bit-identical at any Parallel / Shards setting.
 func RunAdapt(ac AdaptFigConfig) []AdaptDriftResult {
 	ac.fillDefaults()
 	drifts := adaptDrifts()
@@ -361,7 +361,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 
 	sc := Scenario{
 		N: dr.n0, Stack: netstack.StackIdeal, Seed: seed,
-		Workers: ac.Workers, OracleRouting: true,
+		Shards: ac.Shards, OracleRouting: true,
 		AvgDegree:    dr.avgDegree,
 		JoinFraction: dr.joinFraction,
 		WarmupSecs:   warmupSecs,

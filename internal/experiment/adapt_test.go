@@ -9,14 +9,14 @@ import (
 // determinism contract: every per-drift result (wall clock aside) is
 // bit-identical whether the cells run on one worker or eight, serial or
 // parallel engine phases — the `pqexp adapt` data lines never depend on
-// -parallel or -workers.
+// -parallel or -shards.
 func TestAdaptFigureParallelDeterminism(t *testing.T) {
 	ac := AdaptFigConfig{Seeds: 1, Seed: 3, Horizon: 0.05}
 
 	serial := ac
-	serial.Parallel, serial.Workers = 1, 0
+	serial.Parallel, serial.Shards = 1, 0
 	wide := ac
-	wide.Parallel, wide.Workers = 8, 2
+	wide.Parallel, wide.Shards = 8, 2
 
 	a := RunAdapt(serial)
 	b := RunAdapt(wide)
@@ -25,7 +25,7 @@ func TestAdaptFigureParallelDeterminism(t *testing.T) {
 		a[i].Adaptive.WallSecs, b[i].Adaptive.WallSecs = 0, 0
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("adapt results differ between parallel=1/workers=0 and parallel=8/workers=2:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("adapt results differ between parallel=1/shards=0 and parallel=8/shards=2:\n%+v\nvs\n%+v", a, b)
 	}
 
 	// The runs must be healthy: invariants clean (incl. the pending-op

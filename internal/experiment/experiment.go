@@ -100,18 +100,15 @@ type Scenario struct {
 	// measuring the paper's "cost of a lookup miss" (Fig. 16): the whole
 	// target quorum is paid, with no early-halting savings.
 	LookupAbsentKeys bool
-	// Workers sets the engine's parallel-phase width (sim.SetWorkers):
-	// per-broadcast PHY evaluation fans out across this many goroutines.
-	// Results are bit-identical at any setting; 0 or 1 runs serially.
-	Workers int
 	// CellNoise selects the SINR stack's cell-aggregated far-field
 	// interference model (netstack.Config.CellNoise) — the approximate
 	// scale-out mode used by the mega scenario.
 	CellNoise bool
-	// Shards sets the engine's sharded-phase width (sim.SetShards): the
-	// route-prefetch and other ShardedEval phases fan out across this many
-	// spatial shards. Results are bit-identical at any setting; 0 or 1
-	// runs serially (DESIGN.md §15).
+	// Shards sets the engine's parallel-phase width (sim.SetShards): the
+	// route-prefetch ShardedEval phases fan out across this many spatial
+	// shards, and per-broadcast PHY evaluation (ParallelEval) across as
+	// many workers. Results are bit-identical at any setting; 0 or 1 runs
+	// serially (DESIGN.md §15).
 	Shards int
 	// LazyMembership switches the membership service to draw-on-demand
 	// views (membership.Config.Lazy): O(1) refreshes and no materialized
@@ -287,7 +284,6 @@ func (d DecayPoint) IntersectRatio() float64 {
 func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *membership.Service, *quorum.System) {
 	sc.fillDefaults()
 	engine := sim.NewEngine(sc.Seed)
-	engine.SetWorkers(sc.Workers)
 	engine.SetShards(sc.Shards)
 
 	// Pre-allocate join capacity; joiners stay down until churn time.

@@ -40,8 +40,8 @@ type LoadConfig struct {
 	// Parallel is the worker-pool width across strategy mixes (0 = all
 	// cores). The data table is bit-identical at any setting.
 	Parallel int
-	// Workers is the per-engine parallel-phase width (0 = serial).
-	Workers int
+	// Shards is the per-engine parallel-phase width (0 = serial).
+	Shards int
 	// RatePerNode is each node's mean arrival rate in ops/sec (default
 	// 0.5; the MMPP mix bursts at 4× with 1:3 on/off sojourns to match
 	// this mean).
@@ -177,7 +177,7 @@ func (r LoadMixResult) BenchLine() string {
 
 // RunLoad executes every mix of the load figure on a pool of lc.Parallel
 // workers. Results are in mix order and bit-identical at any Parallel or
-// Workers setting: each mix owns an isolated stack and the merge is by
+// Shards setting: each mix owns an isolated stack and the merge is by
 // index.
 func RunLoad(lc LoadConfig) []LoadMixResult {
 	lc.fillDefaults()
@@ -198,7 +198,7 @@ func RunLoad(lc LoadConfig) []LoadMixResult {
 func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 	sc := Scenario{
 		N: lc.N, Stack: netstack.StackIdeal, Seed: lc.Seed,
-		Workers: lc.Workers, OracleRouting: true,
+		Shards: lc.Shards, OracleRouting: true,
 	}
 	sc.Quorum = mixConfig(lc.N, m.adv, m.lk)
 	sc.fillDefaults()
@@ -305,7 +305,7 @@ func serveSkew(counts []int64) float64 {
 }
 
 // LoadTable renders the figure's data table. It contains no wall-clock
-// field, so the rendered text is bit-identical at any Parallel/Workers
+// field, so the rendered text is bit-identical at any Parallel/Shards
 // setting — the property TestLoadFigureParallelDeterminism locks in.
 func LoadTable(lc LoadConfig, results []LoadMixResult) Table {
 	lc.fillDefaults()

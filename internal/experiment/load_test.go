@@ -9,14 +9,14 @@ import (
 // contract: the data table and every per-mix result (wall clock aside) are
 // bit-identical whether the mixes run on one worker or eight, with serial
 // or parallel engine phases — the `pqexp load` data lines never depend on
-// -parallel or -workers.
+// -parallel or -shards.
 func TestLoadFigureParallelDeterminism(t *testing.T) {
 	lc := LoadConfig{Seed: 5, Horizon: 0.08}
 
 	serial := lc
-	serial.Parallel, serial.Workers = 1, 0
+	serial.Parallel, serial.Shards = 1, 0
 	wide := lc
-	wide.Parallel, wide.Workers = 8, 2
+	wide.Parallel, wide.Shards = 8, 2
 
 	a := RunLoad(serial)
 	b := RunLoad(wide)
@@ -24,7 +24,7 @@ func TestLoadFigureParallelDeterminism(t *testing.T) {
 		a[i].WallSecs, b[i].WallSecs = 0, 0
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("load results differ between parallel=1/workers=0 and parallel=8/workers=2:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("load results differ between parallel=1/shards=0 and parallel=8/shards=2:\n%+v\nvs\n%+v", a, b)
 	}
 	ta, tb := LoadTable(serial, a).String(), LoadTable(wide, b).String()
 	if ta != tb {

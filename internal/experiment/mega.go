@@ -17,10 +17,10 @@ import (
 
 // The mega scenario is the scale exercise behind DESIGN.md §12: a ≥10k-node
 // SINR/DCF network with continuous churn and a randomized fault schedule
-// live, the internal/check invariant suite armed, and the engine's
-// parallel-phase and cell-noise scale paths selectable — while recording
-// the process-level costs (wall clock, allocations, peak heap) that the
-// benchmarks track. Routing defaults to the oracle router: AODV route
+// live, the internal/check invariant suite armed, the cell-noise
+// interference model on, and the engine's parallel-phase width selectable
+// — while recording the process-level costs (wall clock, allocations, peak
+// heap) that the benchmarks track. Routing is the oracle router: AODV route
 // discovery floods the whole network per destination, which at 10k nodes
 // measures flooding rather than the quorum system, so the oracle isolates
 // the PHY/scale cost (Section 4.1's cost-of-using-the-routes framing).
@@ -31,11 +31,10 @@ type MegaConfig struct {
 	N int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers is the engine's parallel-phase width (0 = serial).
-	Workers int
-	// Shards is the engine's sharded-phase width (0 = serial): the route
-	// cache's bulk prefetch fans tree builds across this many spatial
-	// shards. Bit-identical at any setting (DESIGN.md §15).
+	// Shards is the engine's parallel-phase width (0 = serial): the route
+	// memo's bulk prefetch fans field builds across this many spatial
+	// shards, and PHY candidate evaluation across as many workers.
+	// Bit-identical at any setting (DESIGN.md §15).
 	Shards int
 	// Giga selects the 100k-tier preset: N defaults to 100000 and neighbor
 	// discovery switches to the geometric oracle provider (100k beaconing
@@ -45,14 +44,6 @@ type MegaConfig struct {
 	// OracleNeighbors forces the geometric neighbor provider (implied by
 	// Giga).
 	OracleNeighbors bool
-	// DenseMembership opts out of lazy draw-on-demand membership views,
-	// restoring the previous eager posture (and its refresh allocations).
-	DenseMembership bool
-	// CellNoiseOff disables the cell-aggregated interference model and
-	// runs the exact per-arrival SINR physics (much slower at this n).
-	CellNoiseOff bool
-	// AODV swaps the oracle router for real AODV (very slow at this n).
-	AODV bool
 	// Advertisements / Lookups / LookupNodes size the workload
 	// (defaults 30 / 60 / 12).
 	Advertisements, Lookups, LookupNodes int
@@ -120,13 +111,9 @@ func (mc *MegaConfig) fillDefaults() {
 // MegaResult is one mega run's protocol outcomes plus its process-level
 // cost metrics.
 type MegaResult struct {
-	N, Workers int
+	N          int
 	Shards     int
 	Giga       bool
-	CellNoise  bool
-	// Dense records that the run opted out of lazy membership; it
-	// suffixes the bench name so the A/B variants coexist in BENCH.json.
-	Dense      bool
 	Lookups    int
 	Hits       int
 	Intersects int
@@ -170,27 +157,19 @@ func (r MegaResult) BenchLine() string {
 	if r.Giga {
 		name = "Giga"
 	}
-	variant := ""
-	if r.Dense {
-		variant = "/dense=1"
-	}
-	return fmt.Sprintf("Benchmark%sScenario/n=%d/workers=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
-		name, r.N, r.Workers, r.Shards, variant, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
+	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
+		name, r.N, r.Shards, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
 
 // Table renders the run for pqexp output.
 func (r MegaResult) Table() Table {
-	mode := "cellnoise"
-	if !r.CellNoise {
-		mode = "exact"
-	}
 	tier := "mega"
 	if r.Giga {
 		tier = "giga"
 	}
 	return Table{
-		Title: fmt.Sprintf("%s — %d-node SINR/DCF scale run (%s, workers=%d, shards=%d)",
-			tier, r.N, mode, r.Workers, r.Shards),
+		Title: fmt.Sprintf("%s — %d-node SINR/DCF scale run (cellnoise, shards=%d)",
+			tier, r.N, r.Shards),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"lookups", istr(r.Lookups)},
@@ -206,9 +185,9 @@ func (r MegaResult) Table() Table {
 	}
 }
 
-// RunMega executes one mega scenario. Deterministic per (config, Workers
-// included only as throughput): the simulation outcome depends on the seed
-// and model knobs, never on the worker count.
+// RunMega executes one mega scenario. Deterministic per config, Shards
+// included only as throughput: the simulation outcome depends on the seed
+// and model knobs, never on the shard width.
 func RunMega(mc MegaConfig) MegaResult {
 	mc.fillDefaults()
 
@@ -219,11 +198,10 @@ func RunMega(mc MegaConfig) MegaResult {
 
 	sc := Scenario{
 		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
-		Workers: mc.Workers, Shards: mc.Shards, CellNoise: !mc.CellNoiseOff,
-		OracleRouting: !mc.AODV,
-		// The scale posture: draw-on-demand membership views (opt out for
-		// A/B runs) and the oracle's route memo with sharded prefetch.
-		LazyMembership:  !mc.DenseMembership,
+		Shards: mc.Shards, CellNoise: true, OracleRouting: true,
+		// The scale posture: draw-on-demand membership views and the
+		// oracle's route memo with sharded prefetch.
+		LazyMembership:  true,
 		OracleNeighbors: mc.OracleNeighbors,
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: mc.ChurnRate, ChurnJoinRate: mc.ChurnRate,
@@ -293,7 +271,7 @@ func RunMega(mc MegaConfig) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Workers: mc.Workers, Shards: mc.Shards, Giga: mc.Giga, CellNoise: !mc.CellNoiseOff, Dense: mc.DenseMembership}
+	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga}
 	origins := make([]int, mc.LookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)

@@ -131,13 +131,10 @@ type Engine struct {
 	free []*Event
 	// live counts queued events that are not cancelled.
 	live int
-	// workers is the ParallelEval fan-out width; pool holds the lazily
-	// started goroutines backing it (see parallel.go).
-	workers int
-	pool    *evalPool
-	// shards is the ShardedEval fan-out width; shardPool holds its lazily
-	// started goroutines, and the remaining fields are the sharded phase's
-	// reusable grouping/staging state (see shard.go).
+	// shards is the fan-out width of both parallel phases, ShardedEval and
+	// ParallelEval; shardPool holds the lazily started goroutines they
+	// share, and the remaining fields are the sharded phase's reusable
+	// grouping/staging state (see shard.go).
 	shards        int
 	shardPool     *shardPool
 	shardBuckets  [][]int32

@@ -1,120 +1,33 @@
 package sim
 
-import "sync"
-
 // MinParallelItems is the fan-out threshold for ParallelEval: below it the
 // cross-goroutine handoff costs more than the work saved, so the loop runs
-// inline regardless of the worker setting.
+// inline regardless of the shard width.
 const MinParallelItems = 32
-
-// evalTask is one contiguous index chunk handed to a pool worker.
-type evalTask struct {
-	fn         func(int)
-	start, end int
-	wg         *sync.WaitGroup
-}
-
-// evalPool is a fixed set of goroutines draining evalTasks. It exists only
-// between the first fanned-out ParallelEval and StopWorkers.
-type evalPool struct {
-	tasks chan evalTask
-	wg    sync.WaitGroup // reused across ParallelEval calls: no per-call alloc
-}
-
-func newEvalPool(size int) *evalPool {
-	// The channel buffer covers a full fan-out (at most `size` chunks), so
-	// dispatch never blocks behind busy workers.
-	p := &evalPool{tasks: make(chan evalTask, size)}
-	for i := 0; i < size; i++ {
-		go func() {
-			for t := range p.tasks {
-				for j := t.start; j < t.end; j++ {
-					t.fn(j)
-				}
-				t.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// SetWorkers sets the parallel-phase width for this engine: ParallelEval
-// fans out across k goroutines when k > 1, and runs inline otherwise. The
-// pool itself starts lazily on the first fanned-out call. Changing the
-// width mid-run is allowed (the old pool is stopped); results are
-// bit-identical at any width, so this is purely a throughput knob.
-func (e *Engine) SetWorkers(k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k == e.workers {
-		return
-	}
-	e.StopWorkers()
-	e.workers = k
-}
-
-// Workers returns the configured parallel-phase width.
-func (e *Engine) Workers() int { return e.workers }
-
-// StopWorkers terminates the parallel-phase pool goroutines — both the
-// ParallelEval pool and the ShardedEval pool — if any. Callers that set
-// Workers or Shards > 1 should defer this when the run ends so pools do not
-// pile up across the engines of a sweep. Safe to call repeatedly; the
-// phases restart their pools on demand.
-func (e *Engine) StopWorkers() {
-	if e.pool != nil {
-		close(e.pool.tasks)
-		e.pool = nil
-	}
-	if e.shardPool != nil {
-		close(e.shardPool.tasks)
-		e.shardPool = nil
-	}
-}
 
 // ParallelEval runs fn(i) for every i in [0, n) and returns when all calls
 // have finished — the engine's "parallel phase" primitive for fanning pure
 // per-item evaluation (candidate-receiver power computation, batch scoring)
-// across a bounded worker pool.
+// across the engine's worker pool.
 //
 // Determinism contract: fn must be a pure read of simulation state plus a
 // write to the item's own result slot — no engine calls, no RNG draws, no
 // writes shared between items, and no nested ParallelEval. The caller then
 // consumes the result slots in index order on the engine goroutine, so
-// mutation order — and therefore the run — is bit-identical at any worker
-// count, including zero. Item order inside the fan-out is intentionally
+// mutation order — and therefore the run — is bit-identical at any width,
+// including zero. Item order inside the fan-out is intentionally
 // unobservable: chunks are contiguous index ranges, and the only
 // synchronization points are dispatch and the final barrier.
 //
-// With workers <= 1 the phase borrows the shard pool when one is configured
-// (SetShards > 1): a sharded run should not leave its pure per-item phases
-// serial just because no separate eval width was set, and the purity
-// contract makes the partition unobservable, so results are identical
-// either way. With neither pool, or n below MinParallelItems, the loop runs
-// inline.
+// The phase runs on the same pool as ShardedEval, sized by SetShards, but
+// without shard grouping or staging: with shards > 1 and n at least
+// MinParallelItems the index range is split into one contiguous chunk per
+// worker; otherwise the loop runs inline.
 func (e *Engine) ParallelEval(n int, fn func(i int)) {
-	if n < MinParallelItems || (e.workers <= 1 && e.shards <= 1) {
+	if n < MinParallelItems || e.shards <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		return
-	}
-	if e.workers > 1 {
-		if e.pool == nil {
-			e.pool = newEvalPool(e.workers)
-		}
-		p := e.pool
-		chunk := (n + e.workers - 1) / e.workers
-		for start := 0; start < n; start += chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			p.wg.Add(1)
-			p.tasks <- evalTask{fn: fn, start: start, end: end, wg: &p.wg}
-		}
-		p.wg.Wait()
 		return
 	}
 	if e.shardPool == nil {

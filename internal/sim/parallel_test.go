@@ -4,14 +4,15 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
-// evalOnce fills a result slice via ParallelEval with the given worker
-// setting, using a deliberately order-sensitive accumulation consumed in
+// evalOnce fills a result slice via ParallelEval at the given shard
+// width, using a deliberately order-sensitive accumulation consumed in
 // index order afterwards, the way medium code does.
-func evalOnce(workers, n int) float64 {
+func evalOnce(shards, n int) float64 {
 	e := NewEngine(1)
-	e.SetWorkers(workers)
+	e.SetShards(shards)
 	defer e.StopWorkers()
 	out := make([]float64, n)
 	e.ParallelEval(n, func(i int) {
@@ -28,13 +29,13 @@ func evalOnce(workers, n int) float64 {
 }
 
 // TestParallelEvalDeterministic pins the contract: results are bit-identical
-// at any worker count, for sizes below and far above the inline threshold.
+// at any shard width, for sizes below and far above the inline threshold.
 func TestParallelEvalDeterministic(t *testing.T) {
 	for _, n := range []int{0, 1, MinParallelItems - 1, MinParallelItems, 1000, 4097} {
 		want := evalOnce(0, n)
-		for _, workers := range []int{1, 2, 3, 8} {
-			if got := evalOnce(workers, n); got != want {
-				t.Fatalf("n=%d workers=%d: sum=%v, serial=%v", n, workers, got, want)
+		for _, shards := range []int{1, 2, 3, 8} {
+			if got := evalOnce(shards, n); got != want {
+				t.Fatalf("n=%d shards=%d: sum=%v, serial=%v", n, shards, got, want)
 			}
 		}
 	}
@@ -43,19 +44,50 @@ func TestParallelEvalDeterministic(t *testing.T) {
 // TestParallelEvalCoversAllItems checks every index is evaluated exactly
 // once across chunk boundaries, including the ragged final chunk.
 func TestParallelEvalCoversAllItems(t *testing.T) {
-	for _, workers := range []int{2, 5, 8} {
+	for _, shards := range []int{2, 5, 8} {
 		for _, n := range []int{MinParallelItems, 100, 101, 257} {
 			e := NewEngine(1)
-			e.SetWorkers(workers)
+			e.SetShards(shards)
 			hits := make([]int32, n)
 			e.ParallelEval(n, func(i int) { hits[i]++ })
 			e.StopWorkers()
 			for i, h := range hits {
 				if h != 1 {
-					t.Fatalf("workers=%d n=%d: item %d evaluated %d times", workers, n, i, h)
+					t.Fatalf("shards=%d n=%d: item %d evaluated %d times", shards, n, i, h)
 				}
 			}
 		}
+	}
+}
+
+// TestParallelEvalFansOutOnShardPool pins where the phase runs: at shard
+// width 2 a fanned-out call starts the engine's shard pool, and its two
+// chunks execute concurrently — the first item blocks until an item of the
+// second chunk has started, which an inline loop could never satisfy.
+func TestParallelEvalFansOutOnShardPool(t *testing.T) {
+	e := NewEngine(1)
+	e.SetShards(2)
+	defer e.StopWorkers()
+	n := MinParallelItems
+	second := make(chan struct{})
+	var concurrent bool
+	e.ParallelEval(n, func(i int) {
+		switch i {
+		case 0:
+			select {
+			case <-second:
+				concurrent = true
+			case <-time.After(10 * time.Second):
+			}
+		case n / 2:
+			close(second)
+		}
+	})
+	if e.shardPool == nil {
+		t.Fatal("fanned-out ParallelEval did not start the shard pool")
+	}
+	if !concurrent {
+		t.Fatal("ParallelEval chunks did not run concurrently on the shard pool")
 	}
 }
 
@@ -64,11 +96,11 @@ func TestParallelEvalCoversAllItems(t *testing.T) {
 // where the pool was stopped.
 func TestParallelEvalInlineBelowThreshold(t *testing.T) {
 	e := NewEngine(1)
-	e.SetWorkers(8)
+	e.SetShards(8)
 	n := MinParallelItems - 1
 	out := make([]bool, n)
 	e.ParallelEval(n, func(i int) { out[i] = true })
-	if e.pool != nil {
+	if e.shardPool != nil {
 		t.Fatalf("pool started for n=%d < MinParallelItems=%d", n, MinParallelItems)
 	}
 	for i, ok := range out {
@@ -79,31 +111,58 @@ func TestParallelEvalInlineBelowThreshold(t *testing.T) {
 	e.StopWorkers()
 }
 
-// TestSetStopWorkers exercises the lifecycle: resizing stops the old pool,
-// StopWorkers is idempotent, and ParallelEval restarts the pool on demand.
+// TestSetStopWorkers exercises the lifecycle of the one pool through
+// ParallelEval: SetShards clamps and is a no-op at the current width,
+// resizing while the pool is live stops it and the next fan-out starts one
+// of the new width, StopWorkers is idempotent, and the pool restarts on
+// demand after a stop.
 func TestSetStopWorkers(t *testing.T) {
 	e := NewEngine(1)
-	if e.Workers() != 0 {
-		t.Fatalf("default Workers() = %d, want 0", e.Workers())
+	if e.Shards() != 0 {
+		t.Fatalf("default Shards() = %d, want 0", e.Shards())
 	}
-	e.SetWorkers(-3)
-	if e.Workers() != 0 {
-		t.Fatalf("negative width clamped to %d, want 0", e.Workers())
+	e.SetShards(-3)
+	if e.Shards() != 0 {
+		t.Fatalf("negative width clamped to %d, want 0", e.Shards())
 	}
-	e.SetWorkers(4)
-	e.ParallelEval(MinParallelItems, func(int) {})
-	if e.pool == nil {
+	n := MinParallelItems
+	covered := func(stage string) {
+		t.Helper()
+		hits := make([]int32, n)
+		e.ParallelEval(n, func(i int) { hits[i]++ })
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%s: item %d evaluated %d times", stage, i, h)
+			}
+		}
+	}
+	e.SetShards(4)
+	covered("first fan-out")
+	live := e.shardPool
+	if live == nil {
 		t.Fatal("fanned-out call did not start the pool")
 	}
-	e.SetWorkers(2) // resize: old pool must be stopped
-	if e.pool != nil {
+	e.SetShards(4) // same width: the live pool stays
+	if e.shardPool != live {
+		t.Fatal("SetShards at the current width replaced the live pool")
+	}
+	e.SetShards(2) // resize while live: old pool must be stopped
+	if e.shardPool != nil {
 		t.Fatal("resize left the old pool attached")
 	}
-	e.ParallelEval(MinParallelItems, func(int) {})
+	covered("after resize")
+	if e.shardPool == nil || cap(e.shardPool.tasks) != 2 {
+		t.Fatal("fan-out after resize did not start a pool of the new width")
+	}
 	e.StopWorkers()
 	e.StopWorkers() // idempotent
-	// Usable again after stop.
-	e.ParallelEval(MinParallelItems, func(int) {})
+	if e.shardPool != nil {
+		t.Fatal("StopWorkers left the pool attached")
+	}
+	covered("after stop") // restart on demand
+	if e.shardPool == nil {
+		t.Fatal("fan-out after StopWorkers did not restart the pool")
+	}
 	e.StopWorkers()
 }
 

@@ -87,7 +87,7 @@ type stagedOp struct {
 
 // shardTask is one unit of fan-out handed to a pool worker: a shard's item
 // list, or — when items is nil — a contiguous [start, end) index range (the
-// form ParallelEval uses when it borrows the shard pool).
+// form ParallelEval uses).
 type shardTask struct {
 	fn         func(int)
 	items      []int32
@@ -95,11 +95,12 @@ type shardTask struct {
 	wg         *sync.WaitGroup
 }
 
-// shardPool is the fixed goroutine set draining shardTasks; it exists only
-// between the first fanned-out ShardedEval and StopWorkers.
+// shardPool is the engine's one worker pool: the fixed goroutine set
+// draining shardTasks for both ShardedEval and ParallelEval. It exists only
+// between the first fanned-out phase and StopWorkers.
 type shardPool struct {
 	tasks chan shardTask
-	wg    sync.WaitGroup // reused across ShardedEval calls: no per-call alloc
+	wg    sync.WaitGroup // reused across phases: no per-call alloc
 }
 
 func newShardPool(size int) *shardPool {
@@ -124,10 +125,12 @@ func newShardPool(size int) *shardPool {
 	return p
 }
 
-// SetShards sets the sharded-phase width: ShardedEval fans shard groups
-// across k workers when k > 1 and runs inline otherwise. Like SetWorkers it
-// is purely a throughput knob — results are bit-identical at any width —
-// and may be changed mid-run between events (the old pool is stopped).
+// SetShards sets the engine's parallel-phase width: ShardedEval fans shard
+// groups, and ParallelEval contiguous chunks, across k workers when k > 1,
+// and both run inline otherwise. The pool itself starts lazily on the
+// first fanned-out phase. It is purely a throughput knob — results are
+// bit-identical at any width — and may be changed mid-run between events
+// (the old pool is stopped).
 func (e *Engine) SetShards(k int) {
 	if k < 0 {
 		k = 0
@@ -135,15 +138,23 @@ func (e *Engine) SetShards(k int) {
 	if k == e.shards {
 		return
 	}
+	e.StopWorkers()
+	e.shards = k
+}
+
+// Shards returns the configured parallel-phase width.
+func (e *Engine) Shards() int { return e.shards }
+
+// StopWorkers terminates the engine's pool goroutines, if any. Callers that
+// set Shards > 1 should defer this when the run ends so pools do not pile
+// up across the engines of a sweep. Safe to call repeatedly; the phases
+// restart the pool on demand.
+func (e *Engine) StopWorkers() {
 	if e.shardPool != nil {
 		close(e.shardPool.tasks)
 		e.shardPool = nil
 	}
-	e.shards = k
 }
-
-// Shards returns the configured sharded-phase width.
-func (e *Engine) Shards() int { return e.shards }
 
 // ShardedEval runs fn(i) for every i in [0, n) grouped by shardOf(i): items
 // of one shard execute sequentially in ascending order on a single worker,
@@ -171,7 +182,7 @@ func (e *Engine) ShardedEval(n int, shardOf func(id int) int, fn func(i int)) {
 	e.ensureStageBufs(k)
 	e.inShardPhase = true
 	e.phaseShardOf = shardOf
-	if k <= 1 || n < MinShardItems || e.shards <= 1 {
+	if k <= 1 || n < MinShardItems {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
